@@ -6,146 +6,3 @@ All arithmetic is exact (rationals and Q(zeta) with zeta a primitive sixth
 root of unity); the verification suite in `dp3ring.verify` checks every
 finitely decidable identity and reports the rest as not machine-checkable.
 """
-
-from .cyclotomic import CycNum, OMEGA, ONE, ZERO, ZETA, zeta_pow
-from .ncpoly import (
-    ALPHABETS,
-    Alphabet,
-    AlphabetMismatchError,
-    COX,
-    NcPoly,
-    ParseError,
-    WZX,
-    XY,
-    parse,
-    word_degree,
-)
-from .ore import (
-    PbwMonomial,
-    commutes_with_generators,
-    hilbert_coeffs,
-    normal_form,
-    pbw_basis,
-    pbw_coefficients,
-    termination_measure,
-    xy_to_pbw,
-)
-from .picard import (
-    DivisorClass,
-    E1,
-    E2,
-    E3,
-    EFFECTIVE_GENERATORS,
-    FIRST_TWIST,
-    H,
-    K,
-    L1,
-    L2,
-    L3,
-    MINUS_K,
-    ROTATION,
-    chi,
-    h0_formula,
-    intersect,
-    is_ample,
-    rotate_class,
-    rotation_eigensystem,
-    twist_divisor,
-    vanishing_criterion,
-)
-from .cox import (
-    CoxMonomial,
-    CoxPoly,
-    IRRELEVANT_PAIRS,
-    SectionSpace,
-    VARIABLES,
-    WEIGHT_TABLE,
-    enumerate_sections,
-    multidegree,
-    parse_monomial,
-    rotate_monomial,
-    rotate_vars,
-    section_count,
-)
-from .thcr import (
-    GradedSection,
-    LOW_DEGREE_TABLE,
-    check_generation,
-    degree_two_covers,
-    section_from_xy,
-    twist_basis,
-    twisted_mul,
-    word_image,
-)
-from .verify import CheckResult, VerificationReport, run_all
-
-__all__ = [
-    "ALPHABETS",
-    "Alphabet",
-    "AlphabetMismatchError",
-    "CheckResult",
-    "COX",
-    "CoxMonomial",
-    "CoxPoly",
-    "CycNum",
-    "DivisorClass",
-    "E1",
-    "E2",
-    "E3",
-    "EFFECTIVE_GENERATORS",
-    "FIRST_TWIST",
-    "GradedSection",
-    "H",
-    "IRRELEVANT_PAIRS",
-    "K",
-    "L1",
-    "L2",
-    "L3",
-    "LOW_DEGREE_TABLE",
-    "MINUS_K",
-    "NcPoly",
-    "OMEGA",
-    "ONE",
-    "ParseError",
-    "PbwMonomial",
-    "ROTATION",
-    "SectionSpace",
-    "VARIABLES",
-    "VerificationReport",
-    "WEIGHT_TABLE",
-    "WZX",
-    "XY",
-    "ZERO",
-    "ZETA",
-    "check_generation",
-    "chi",
-    "commutes_with_generators",
-    "degree_two_covers",
-    "enumerate_sections",
-    "h0_formula",
-    "hilbert_coeffs",
-    "intersect",
-    "is_ample",
-    "multidegree",
-    "normal_form",
-    "parse",
-    "parse_monomial",
-    "pbw_basis",
-    "pbw_coefficients",
-    "rotate_class",
-    "rotate_monomial",
-    "rotate_vars",
-    "rotation_eigensystem",
-    "run_all",
-    "section_count",
-    "section_from_xy",
-    "termination_measure",
-    "twist_basis",
-    "twist_divisor",
-    "twisted_mul",
-    "vanishing_criterion",
-    "word_degree",
-    "word_image",
-    "xy_to_pbw",
-    "zeta_pow",
-]

@@ -31,13 +31,14 @@ def _emit(args, command: str, inputs: dict, result, text: str) -> None:
         print(text)
 
 
+def _reduce(poly, alphabet: str):
+    """Normal form of a polynomial over the named alphabet."""
+    return ore.xy_to_pbw(poly) if alphabet == "xy" else ore.normal_form(poly)
+
+
 def _cmd_nf(args) -> int:
     poly = parse(args.expression, ALPHABETS[args.alphabet])
-    if args.alphabet == "xy":
-        reduced = ore.xy_to_pbw(poly)
-    else:
-        reduced = ore.normal_form(poly)
-    rendered = reduced.render()
+    rendered = _reduce(poly, args.alphabet).render()
     _emit(
         args,
         "nf",
@@ -105,13 +106,8 @@ def _cmd_mul(args) -> int:
     if args.ring == "R":
         alphabet = ALPHABETS[args.alphabet]
         inputs["alphabet"] = args.alphabet
-        lhs = parse(args.lhs, alphabet)
-        rhs = parse(args.rhs, alphabet)
-        product = lhs * rhs
-        reduced = (
-            ore.xy_to_pbw(product) if args.alphabet == "xy" else ore.normal_form(product)
-        )
-        rendered = reduced.render()
+        product = parse(args.lhs, alphabet) * parse(args.rhs, alphabet)
+        rendered = _reduce(product, args.alphabet).render()
     else:
         try:
             left = thcr.section_from_xy(parse(args.lhs, ALPHABETS["xy"]))

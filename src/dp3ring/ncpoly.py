@@ -298,7 +298,10 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
                 k = j + 1
                 while k < n and text[k].isdigit():
                     k += 1
-                tokens.append(("num", Fraction(num, int(text[j + 1 : k])), i))
+                den = int(text[j + 1 : k])
+                if den == 0:
+                    raise ParseError("zero denominator", i)
+                tokens.append(("num", Fraction(num, den), i))
                 i = k
             else:
                 tokens.append(("num", Fraction(num), i))

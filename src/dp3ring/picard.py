@@ -93,16 +93,19 @@ def intersect(left: DivisorClass, right: DivisorClass) -> int:
     return left.dot(right)
 
 
-def rotate_class(div: DivisorClass, matrix=None) -> DivisorClass:
-    """Apply the hexagon rotation (or a supplied 4x4 matrix) to a class."""
-    m = ROTATION if matrix is None else matrix
-    v = div.coords
-    return DivisorClass(*(sum(row[j] * v[j] for j in range(4)) for row in m))
+def _apply_rotation(coords: tuple) -> tuple:
+    """ROTATION times a coordinate vector of ints or CycNums."""
+    return tuple(sum(r * v for r, v in zip(row, coords)) for row in ROTATION)
 
 
-def rotate_class_power(div: DivisorClass, times: int, matrix=None) -> DivisorClass:
+def rotate_class(div: DivisorClass) -> DivisorClass:
+    """Apply the hexagon rotation to a class."""
+    return DivisorClass(*_apply_rotation(div.coords))
+
+
+def rotate_class_power(div: DivisorClass, times: int) -> DivisorClass:
     for _ in range(times):
-        div = rotate_class(div, matrix)
+        div = rotate_class(div)
     return div
 
 
@@ -162,19 +165,12 @@ def h0_formula(n: int) -> int:
     return (m + 1) * (3 * m + r)
 
 
-def _rotate_cyc_vector(vec, matrix):
-    return tuple(
-        sum(CycNum(row[j]) * vec[j] for j in range(4)) for row in matrix
-    )
-
-
-def rotation_eigensystem(matrix=None) -> list[tuple[tuple[CycNum, ...], CycNum]]:
+def rotation_eigensystem() -> list[tuple[tuple[CycNum, ...], CycNum]]:
     """The four exact eigenpairs of the lattice rotation over Q(zeta).
 
     Each returned (vector, eigenvalue) is verified to satisfy M v = lambda v
-    exactly; an ArithmeticError means the matrix is not the hexagon rotation.
+    exactly; an ArithmeticError means ROTATION is not the hexagon rotation.
     """
-    m = ROTATION if matrix is None else matrix
     one = CycNum(1)
     omega2 = OMEGA * OMEGA
     pairs = [
@@ -184,7 +180,7 @@ def rotation_eigensystem(matrix=None) -> list[tuple[tuple[CycNum, ...], CycNum]]
         ((CycNum(0), CycNum(1), omega2, OMEGA), OMEGA),
     ]
     for vec, value in pairs:
-        image = _rotate_cyc_vector(vec, m)
+        image = _apply_rotation(vec)
         expected = tuple(value * entry for entry in vec)
         if image != expected:
             raise ArithmeticError(

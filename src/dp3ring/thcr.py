@@ -156,14 +156,17 @@ def section_from_xy(p: NcPoly) -> GradedSection:
     return GradedSection(degree, poly)
 
 
+def _cover(n: int, k: int) -> set[CoxMonomial]:
+    """Twisted products of the degree-k basis with rot^k of the
+    degree-(n+2-k) basis: the part of degree n+2 reached from degree k."""
+    rest = twist_basis(n + 2 - k).basis
+    return {a * rotate_monomial(b, k) for a in twist_basis(k).basis for b in rest}
+
+
 def degree_two_covers(n: int) -> bool:
     """True iff products of degree-2 basis monomials with rot^2 of the
     degree-n basis already cover the whole degree-(n+2) basis."""
-    target = set(twist_basis(n + 2).basis)
-    quadratic = twist_basis(2).basis
-    lower = twist_basis(n).basis
-    cover = {a * rotate_monomial(b, 2) for a in quadratic for b in lower}
-    return target <= cover
+    return set(twist_basis(n + 2).basis) <= _cover(n, 2)
 
 
 def check_generation(n: int) -> bool:
@@ -176,11 +179,4 @@ def check_generation(n: int) -> bool:
     """
     if n < 0:
         raise ValueError("degree must be non-negative")
-    target = set(twist_basis(n + 2).basis)
-    quadratic = twist_basis(2).basis
-    cover = {a * rotate_monomial(b, 2) for a in quadratic for b in twist_basis(n).basis}
-    if target <= cover:
-        return True
-    linear = twist_basis(1).basis
-    cover |= {a * rotate_monomial(b, 1) for a in linear for b in twist_basis(n + 1).basis}
-    return target <= cover
+    return set(twist_basis(n + 2).basis) <= _cover(n, 2) | _cover(n, 1)

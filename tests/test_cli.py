@@ -1,11 +1,17 @@
 """Command line behaviour: golden outputs, exit codes, json stability."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 import dp3ring.picard as picard
 from dp3ring.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -33,10 +39,16 @@ def test_nf_in_the_ordered_alphabet(capsys):
 
 
 def test_nf_parse_error_exits_2(capsys):
-    code, out, err = run_cli(capsys, "nf", "x +")
-    assert code == 2
-    assert out == ""
-    assert "position" in err
+    for argv in (
+        ["nf", "x +"],
+        ["nf", "1/0"],
+        ["mul", "--ring", "B", "1/0", "x"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "position" in err
 
 
 def test_nf_unknown_variable_exits_2(capsys):
@@ -201,3 +213,22 @@ def test_identical_invocations_are_byte_identical(capsys):
     _, first, _ = run_cli(capsys, "divisor", "12")
     _, second, _ = run_cli(capsys, "divisor", "12")
     assert first == second
+
+
+def test_verify_report_matches_golden_files(capsys):
+    # the files hold the cap-12 report, text and json, byte for byte
+    for fmt in ("text", "json"):
+        code, out, _ = run_cli(capsys, "verify", "--max-degree", "12", "--format", fmt)
+        assert code == 0
+        assert out == (DATA / f"verify_12.{fmt}").read_text()
+
+
+def test_readme_examples_match_cli_output(capsys):
+    examples = re.findall(r"^dp3ring (.*?)#\s*-> (.*)$", (ROOT / "README.md").read_text(), re.M)
+    assert len(examples) == 8
+    for command, expected in examples:
+        # a run of two or more spaces separates the output from a note
+        expected = re.split(r"\s{2,}", expected.strip())[0]
+        code, out, _ = run_cli(capsys, *shlex.split(command))
+        assert code == 0, command
+        assert out == expected + "\n", command

@@ -204,10 +204,11 @@ def test_eigensystem_uses_cube_root_identities():
     assert CycNum(-1) - OMEGA == OMEGA * OMEGA
 
 
-def test_eigensystem_rejects_wrong_matrix():
+def test_eigensystem_rejects_wrong_matrix(monkeypatch):
     identity = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    monkeypatch.setattr(picard, "ROTATION", identity)
     with pytest.raises(ArithmeticError):
-        rotation_eigensystem(identity)
+        rotation_eigensystem()
 
 
 def test_divisor_rendering():
