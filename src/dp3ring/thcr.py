@@ -115,28 +115,28 @@ def word_image(word: str) -> CoxMonomial:
 
 
 def word_image_exponents(n: int) -> tuple[int, set[tuple[int, ...]]]:
-    """(word count, set of image exponent vectors) over all degree-n words."""
-    images: set[tuple[int, ...]] = set()
-    count = 0
+    """(word count, set of image exponent vectors) over all degree-n words.
 
-    def walk(exps: tuple[int, ...], m: int, remaining: int):
-        nonlocal count
-        if remaining == 0:
-            count += 1
-            images.add(exps)
-            return
-        for letter in ("x", "y"):
-            weight = _LETTER_DEGREE[letter]
-            if weight <= remaining:
-                shifted = rotate_exponents(_LETTER_EXPS[letter], m)
-                walk(
-                    tuple(e + g for e, g in zip(exps, shifted)),
-                    m + weight,
-                    remaining - weight,
-                )
-
-    walk((0, 0, 0, 0, 0, 0), 0, n)
-    return count, images
+    A degree-d word is a degree-(d-1) word followed by x, or a degree-(d-2)
+    word followed by y, and that last letter's image is rotated by the
+    degree of the prefix.  So each degree's images, with the number of
+    words reaching each one, follow from the two degrees below; the word
+    count is the sum of those multiplicities.  The cost is polynomial in n
+    although there are Fib(n) words.
+    """
+    if n < 0:
+        raise ValueError("degree must be non-negative")
+    below: dict[tuple[int, ...], int] = {}
+    level = {(0, 0, 0, 0, 0, 0): 1}
+    for d in range(1, n + 1):
+        step: dict[tuple[int, ...], int] = {}
+        for prefixes, m, gen in ((level, d - 1, _X_EXPS), (below, d - 2, _Y_EXPS)):
+            shifted = rotate_exponents(gen, m)
+            for exps, words in prefixes.items():
+                image = tuple(e + g for e, g in zip(exps, shifted))
+                step[image] = step.get(image, 0) + words
+        below, level = level, step
+    return sum(level.values()), set(level)
 
 
 def section_from_xy(p: NcPoly) -> GradedSection:

@@ -216,11 +216,21 @@ def test_identical_invocations_are_byte_identical(capsys):
 
 
 def test_verify_report_matches_golden_files(capsys):
-    # the files hold the cap-12 report, text and json, byte for byte
-    for fmt in ("text", "json"):
-        code, out, _ = run_cli(capsys, "verify", "--max-degree", "12", "--format", fmt)
-        assert code == 0
-        assert out == (DATA / f"verify_12.{fmt}").read_text()
+    # the files hold the cap-12 and default cap-24 reports, text and json,
+    # byte for byte
+    for cap in ("12", "24"):
+        for fmt in ("text", "json"):
+            code, out, _ = run_cli(capsys, "verify", "--max-degree", cap, "--format", fmt)
+            assert code == 0
+            assert out == (DATA / f"verify_{cap}.{fmt}").read_text(), (cap, fmt)
+
+
+def test_verify_reaches_cap_forty(capsys):
+    # the word images are counted degree by degree, not word by word, so
+    # cap 40 (Fib(40) = 165580141 words) finishes in about a second
+    code, out, _ = run_cli(capsys, "verify", "--max-degree", "40")
+    assert code == 0
+    assert out.endswith("result: 17/17 checks passed\n")
 
 
 def test_readme_examples_match_cli_output(capsys):

@@ -85,6 +85,30 @@ def test_low_degree_dictionary_reproduces():
         assert word_image(word) == parse_monomial(expected), word
 
 
+def words_of_degree(n: int) -> list[str]:
+    """Every x,y-word of weighted degree n (x has degree 1, y degree 2)."""
+    if n < 0:
+        return []
+    if n == 0:
+        return [""]
+    return [w + "x" for w in words_of_degree(n - 1)] + [
+        w + "y" for w in words_of_degree(n - 2)
+    ]
+
+
+def test_word_image_exponents_matches_the_word_walk():
+    # brute-force oracle: evaluate every word of the degree one by one
+    for n in range(19):
+        words = words_of_degree(n)
+        oracle = (len(words), {word_image(w).exps for w in words})
+        assert word_image_exponents(n) == oracle, n
+
+
+def test_word_image_exponents_rejects_negative_degree():
+    with pytest.raises(ValueError):
+        word_image_exponents(-1)
+
+
 def test_word_images_cover_each_basis():
     for n in range(11):
         count, images = word_image_exponents(n)
@@ -92,11 +116,13 @@ def test_word_images_cover_each_basis():
 
 
 def test_word_counts_follow_the_two_weight_recurrence():
-    counts = [word_image_exponents(n)[0] for n in range(12)]
+    # degree 60 has Fib(60) = 2504730781961 words, far beyond a word walk
+    counts = [word_image_exponents(n)[0] for n in range(61)]
     assert counts[0] == counts[1] == 1
-    for n in range(2, 12):
+    for n in range(2, 61):
         assert counts[n] == counts[n - 1] + counts[n - 2]
     assert counts[10] == 89
+    assert counts[60] == 2504730781961
 
 
 def test_homogeneity_is_enforced():
