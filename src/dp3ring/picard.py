@@ -11,52 +11,86 @@ combinatorial ampleness and vanishing tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import itemgetter
 
 from .cyclotomic import CycNum, OMEGA
 
 
-@dataclass(frozen=True)
-class DivisorClass:
-    """Integer 4-vector (a, b, c, d) meaning aH - cE1 - bE2 - dE3."""
+class DivisorClass(tuple):
+    """Integer 4-vector (a, b, c, d) meaning aH - cE1 - bE2 - dE3.
 
-    a: int
-    b: int
-    c: int
-    d: int
+    An immutable value: equal and hashable only against other classes,
+    never ordered, never equal to a plain tuple.  It is a tuple underneath
+    so that building one is cheap; the lattice checks build millions.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int, c: int, d: int):
+        return _new(cls, (a, b, c, d))
+
+    a = property(itemgetter(0))
+    b = property(itemgetter(1))
+    c = property(itemgetter(2))
+    d = property(itemgetter(3))
 
     @property
     def coords(self) -> tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.d)
+        return tuple(self)
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+    def _unordered(self, other):
+        raise TypeError("divisor classes are not ordered")
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
+
+    def __getnewargs__(self):
+        return tuple(self)
 
     def __add__(self, other: DivisorClass) -> DivisorClass:
-        return DivisorClass(
-            self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d
-        )
+        a, b, c, d = self
+        e, f, g, h = other
+        return _new(DivisorClass, (a + e, b + f, c + g, d + h))
 
     def __sub__(self, other: DivisorClass) -> DivisorClass:
-        return DivisorClass(
-            self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d
-        )
+        a, b, c, d = self
+        e, f, g, h = other
+        return _new(DivisorClass, (a - e, b - f, c - g, d - h))
 
     def __neg__(self) -> DivisorClass:
-        return DivisorClass(-self.a, -self.b, -self.c, -self.d)
+        a, b, c, d = self
+        return _new(DivisorClass, (-a, -b, -c, -d))
 
     def __mul__(self, k: int) -> DivisorClass:
         if not isinstance(k, int):
             return NotImplemented
-        return DivisorClass(k * self.a, k * self.b, k * self.c, k * self.d)
+        a, b, c, d = self
+        return _new(DivisorClass, (k * a, k * b, k * c, k * d))
 
     __rmul__ = __mul__
 
     def dot(self, other: DivisorClass) -> int:
         """Intersection number under the signature (1, 3) form."""
-        return (
-            self.a * other.a - self.b * other.b - self.c * other.c - self.d * other.d
-        )
+        a, b, c, d = self
+        e, f, g, h = other
+        return a * e - b * f - c * g - d * h
+
+    def __repr__(self):
+        return "DivisorClass(a=%r, b=%r, c=%r, d=%r)" % tuple(self)
 
     def __str__(self):
-        return f"({self.a},{self.b},{self.c},{self.d})"
+        return "(%s,%s,%s,%s)" % tuple(self)
+
+
+# tuple's constructor, bypassing DivisorClass.__new__ on the hot paths
+_new = tuple.__new__
 
 
 ZERO_CLASS = DivisorClass(0, 0, 0, 0)
@@ -95,12 +129,13 @@ def intersect(left: DivisorClass, right: DivisorClass) -> int:
 
 def _apply_rotation(coords: tuple) -> tuple:
     """ROTATION times a coordinate vector of ints or CycNums."""
-    return tuple(sum(r * v for r, v in zip(row, coords)) for row in ROTATION)
+    a, b, c, d = coords
+    return tuple([p * a + q * b + r * c + s * d for p, q, r, s in ROTATION])
 
 
 def rotate_class(div: DivisorClass) -> DivisorClass:
     """Apply the hexagon rotation to a class."""
-    return DivisorClass(*_apply_rotation(div.coords))
+    return _new(DivisorClass, _apply_rotation(div))
 
 
 def rotate_class_power(div: DivisorClass, times: int) -> DivisorClass:
@@ -134,9 +169,13 @@ def chi(div: DivisorClass) -> int:
 
 def is_ample(div: DivisorClass) -> bool:
     """Nakai-Moishezon against the six effective-cone generators."""
-    if div.dot(div) <= 0:
+    a, b, c, d = div
+    if a * a - b * b - c * c - d * d <= 0:
         return False
-    return all(div.dot(curve) > 0 for curve in EFFECTIVE_GENERATORS)
+    for e, f, g, h in EFFECTIVE_GENERATORS:
+        if a * e - b * f - c * g - d * h <= 0:
+            return False
+    return True
 
 
 def vanishing_criterion(div: DivisorClass) -> bool:
@@ -144,7 +183,7 @@ def vanishing_criterion(div: DivisorClass) -> bool:
 
     Expands the Nakai-Moishezon inequalities for D - K coordinatewise.
     """
-    a, b, c, d = div.coords
+    a, b, c, d = div
     if (a + 3) ** 2 <= (b + 1) ** 2 + (c + 1) ** 2 + (d + 1) ** 2:
         return False
     if b <= -1 or c <= -1 or d <= -1:

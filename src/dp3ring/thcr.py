@@ -114,21 +114,23 @@ def word_image(word: str) -> CoxMonomial:
     return CoxMonomial(exps)
 
 
-def word_image_exponents(n: int) -> tuple[int, set[tuple[int, ...]]]:
-    """(word count, set of image exponent vectors) over all degree-n words.
+def word_image_levels(max_degree: int):
+    """Yield (word count, set of image exponent vectors) for every degree
+    0..max_degree, in one pass.
 
     A degree-d word is a degree-(d-1) word followed by x, or a degree-(d-2)
     word followed by y, and that last letter's image is rotated by the
     degree of the prefix.  So each degree's images, with the number of
     words reaching each one, follow from the two degrees below; the word
-    count is the sum of those multiplicities.  The cost is polynomial in n
-    although there are Fib(n) words.
+    count is the sum of those multiplicities.  The cost is polynomial in
+    the degree although there are Fib(n) words of degree n.
     """
-    if n < 0:
+    if max_degree < 0:
         raise ValueError("degree must be non-negative")
     below: dict[tuple[int, ...], int] = {}
     level = {(0, 0, 0, 0, 0, 0): 1}
-    for d in range(1, n + 1):
+    yield 1, set(level)
+    for d in range(1, max_degree + 1):
         step: dict[tuple[int, ...], int] = {}
         for prefixes, m, gen in ((level, d - 1, _X_EXPS), (below, d - 2, _Y_EXPS)):
             shifted = rotate_exponents(gen, m)
@@ -136,7 +138,15 @@ def word_image_exponents(n: int) -> tuple[int, set[tuple[int, ...]]]:
                 image = tuple(e + g for e, g in zip(exps, shifted))
                 step[image] = step.get(image, 0) + words
         below, level = level, step
-    return sum(level.values()), set(level)
+        yield sum(level.values()), set(level)
+
+
+def word_image_exponents(n: int) -> tuple[int, set[tuple[int, ...]]]:
+    """(word count, set of image exponent vectors) over all degree-n words:
+    the last level of `word_image_levels(n)`."""
+    for count, images in word_image_levels(n):
+        pass
+    return count, images
 
 
 def section_from_xy(p: NcPoly) -> GradedSection:

@@ -65,13 +65,15 @@ class VerificationReport:
     def failures(self) -> list[CheckResult]:
         return [check for check in self.checks if not check.passed]
 
-    def to_text(self) -> str:
+    def to_text(self, include_timing: bool = False) -> str:
         lines = [f"verification report (max degree {self.max_degree})"]
         for check in self.checks:
             status = "PASS" if check.passed else "FAIL"
             line = f"  {status} {check.name}: {check.detail}"
             if check.witness:
                 line += f" [witness: {check.witness}]"
+            if include_timing:
+                line += f" ({check.elapsed * 1e3:.1f} ms)"
             lines.append(line)
         lines.append("not machine-checkable (reported, never claimed):")
         for item in self.not_machine_checkable:
@@ -163,8 +165,7 @@ def check_graded_isomorphism(max_degree: int) -> CheckResult:
     fib = [1, 1]
     while len(fib) <= max_degree:
         fib.append(fib[-1] + fib[-2])
-    for n in range(max_degree + 1):
-        count, images = thcr.word_image_exponents(n)
+    for n, (count, images) in enumerate(thcr.word_image_levels(max_degree)):
         if count != fib[n]:
             return CheckResult(
                 "graded_isomorphism",

@@ -99,6 +99,14 @@ def test_h0_accepts_negative_coordinates(capsys):
     assert out == "0\n"
 
 
+def test_h0_of_a_huge_class_is_counted_not_enumerated(capsys):
+    # (a+1)(a+2)/2 sections for (a, 0, 0, 0): far too many monomials to
+    # enumerate, but the interval count takes a million short steps
+    code, out, _ = run_cli(capsys, "h0", "1000000", "0", "0", "0")
+    assert code == 0
+    assert out == "500001500001\n"
+
+
 def test_basis_of_the_quadratic_piece(capsys):
     code, out, _ = run_cli(capsys, "basis", "--ring", "B", "2")
     assert code == 0
@@ -159,6 +167,19 @@ def test_verify_small_cap_passes(capsys):
     assert code == 0
     assert "result: 17/17 checks passed" in out
     assert "not machine-checkable" in out
+
+
+def test_verify_timings_give_every_check_an_elapsed_time(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--max-degree", "6", "--timings", "--format", "json")
+    assert code == 0
+    checks = json.loads(out)["result"]["checks"]
+    assert len(checks) == 17
+    assert all(entry["elapsed"] >= 0 for entry in checks)
+    code, out, _ = run_cli(capsys, "verify", "--max-degree", "6", "--timings")
+    assert code == 0
+    timed = [line for line in out.splitlines() if line.startswith("  PASS")]
+    assert len(timed) == 17
+    assert all(re.search(r" \(\d+\.\d ms\)$", line) for line in timed)
 
 
 def test_verify_rejects_small_max_degree(capsys):

@@ -91,6 +91,15 @@ def test_section_counts():
     assert section_count(DivisorClass(0, 0, 0, 0)) == 1
 
 
+def test_section_count_matches_the_enumerated_basis():
+    # oracle: the monomials themselves, over classes with negative entries too
+    coords = range(-3, 8)
+    for a in range(-2, 9):
+        for b, c, d in product(coords, coords, coords):
+            div = DivisorClass(a, b, c, d)
+            assert section_count(div) == len(enumerate_sections(div).basis), div
+
+
 def test_basis_is_strictly_sorted_descending():
     basis = enumerate_sections(MINUS_K).basis
     assert all(prev > cur for prev, cur in zip(basis, basis[1:]))

@@ -1,6 +1,9 @@
 """Lattice structure: intersection form, rotation, twist divisors,
 Riemann-Roch and the ampleness tests."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -229,3 +232,33 @@ def test_rotation_has_order_six(div):
 @given(div=classes)
 def test_chi_parity_always_holds(div):
     chi(div)  # must never raise on the true lattice constants
+
+
+def test_divisor_class_value_semantics():
+    div = DivisorClass(1, 1, 0, 1)
+    with pytest.raises(AttributeError):
+        div.a = 2
+    assert div == L1 and hash(div) == hash(L1)
+    assert len({div, L1, DivisorClass(1, 1, 0, 0)}) == 2
+    assert div != (1, 1, 0, 1) and (1, 1, 0, 1) != div
+    assert not div == (1, 1, 0, 1) and not (1, 1, 0, 1) == div
+    with pytest.raises(TypeError):
+        div < L2
+    with pytest.raises(TypeError):
+        (1, 1, 0, 0) < div
+    assert repr(div) == "DivisorClass(a=1, b=1, c=0, d=1)"
+    assert str(div) == "(1,1,0,1)"
+    assert type(div.coords) is tuple and div.coords == (1, 1, 0, 1)
+    assert (div.a, div.b, div.c, div.d) == (1, 1, 0, 1)
+    with pytest.raises(TypeError):
+        div * 1.5
+    with pytest.raises(TypeError):
+        1.5 * div
+    assert 2 * div == div * 2 == DivisorClass(2, 2, 0, 2)
+
+
+def test_divisor_class_pickles_and_copies():
+    div = DivisorClass(2, -3, 5, 7)
+    for clone in (pickle.loads(pickle.dumps(div)), copy.deepcopy(div), copy.copy(div)):
+        assert clone == div and type(clone) is DivisorClass
+        assert repr(clone) == repr(div)

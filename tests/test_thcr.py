@@ -16,6 +16,7 @@ from dp3ring.thcr import (
     twisted_mul,
     word_image,
     word_image_exponents,
+    word_image_levels,
 )
 
 
@@ -107,6 +108,15 @@ def test_word_image_exponents_matches_the_word_walk():
 def test_word_image_exponents_rejects_negative_degree():
     with pytest.raises(ValueError):
         word_image_exponents(-1)
+    with pytest.raises(ValueError):
+        next(word_image_levels(-1))
+
+
+def test_word_image_levels_match_each_degree():
+    levels = list(word_image_levels(30))
+    assert len(levels) == 31
+    for n, level in enumerate(levels):
+        assert level == word_image_exponents(n), n
 
 
 def test_word_images_cover_each_basis():
