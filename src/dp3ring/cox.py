@@ -269,18 +269,43 @@ def enumerate_sections(div: DivisorClass) -> SectionSpace:
     return SectionSpace(div, tuple(found))
 
 
+def _clipped_series(lo: int, hi: int, alpha: int, slope: int) -> int:
+    """Sum of max(0, alpha + slope*i) over the integers lo <= i <= hi, for
+    slope -1, 0 or 1: an arithmetic series over the i where it is positive."""
+    if slope > 0:
+        lo = max(lo, 1 - alpha)
+    elif slope < 0:
+        hi = min(hi, alpha - 1)
+    elif alpha <= 0:
+        return 0
+    if lo > hi:
+        return 0
+    return (hi - lo + 1) * (2 * alpha + slope * (lo + hi)) // 2
+
+
 def section_count(div: DivisorClass) -> int:
-    """Dimension of the graded piece in degree D, counted in O(a) steps.
+    """Dimension of the graded piece in degree D, in closed form.
 
     With the slacks of `enumerate_sections`, t's exponent a-i-c is free of j,
     s's exponent a-j-b bounds j above and u's exponent i+j-d bounds it below,
-    so for each admissible i the valid j form one interval.
+    so for each admissible i the valid j form the interval
+    max(0, d-i) <= j <= min(j_max, a-i).  Its length is linear in i between
+    the breaks i = a - j_max and i = d, so the count is a sum of at most
+    three clipped arithmetic series.
     """
     a, b, c, d = div
     j_max = min(a, a - b)
+    i_max = min(a, a - c)
+    if i_max < 0:
+        return 0
+    breaks = (a - j_max + 1, d + 1)
+    cuts = sorted({0, i_max + 1} | {x for x in breaks if 0 < x <= i_max})
     count = 0
-    for i in range(min(a, a - c) + 1):
-        span = min(j_max, a - i) - max(0, d - i) + 1
-        if span > 0:
-            count += span
+    for left, right in zip(cuts, cuts[1:]):
+        # the upper end is j_max, then a - i; the lower end d - i, then 0
+        top, top_slope = (j_max, 0) if left <= a - j_max else (a, -1)
+        bottom, bottom_slope = (d, -1) if left <= d else (0, 0)
+        count += _clipped_series(
+            left, right - 1, top - bottom + 1, top_slope - bottom_slope
+        )
     return count

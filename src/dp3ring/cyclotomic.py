@@ -3,13 +3,21 @@ primitive sixth root of unity.
 
 A value is stored as the pair (p, q) meaning p + q*zeta with p and q exact
 rationals.  Every product is reduced by zeta^2 = zeta - 1, so the pair is a
-canonical form and equality is plain structural comparison.  No floats
-anywhere.
+canonical form and equality is plain structural comparison.  An integral
+part is kept as a plain int, so arithmetic in Z[zeta] never touches
+Fraction; a Fraction holds only a part that is not integral, and division
+goes through Fraction.  No floats anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+
+def _exact(value) -> int | Fraction:
+    """The rational `value` as an int when integral, else as a Fraction."""
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 class CycNum:
@@ -18,8 +26,8 @@ class CycNum:
     __slots__ = ("p", "q")
 
     def __init__(self, p: int | Fraction = 0, q: int | Fraction = 0):
-        self.p = Fraction(p)
-        self.q = Fraction(q)
+        self.p = p if type(p) is int else _exact(p)
+        self.q = q if type(q) is int else _exact(q)
 
     @classmethod
     def _coerce(cls, value):
@@ -66,10 +74,11 @@ class CycNum:
         """Multiplicative inverse.  Raises ZeroDivisionError on zero."""
         # Conjugate of p + q*zeta is (p + q) - q*zeta; the norm
         # p^2 + pq + q^2 is positive definite over Q.
-        norm = self.p * self.p + self.p * self.q + self.q * self.q
+        p, q = self.p, self.q
+        norm = p * p + p * q + q * q
         if norm == 0:
             raise ZeroDivisionError("inverse of zero in Q(zeta)")
-        return CycNum((self.p + self.q) / norm, -self.q / norm)
+        return CycNum(Fraction(p + q, norm), Fraction(-q, norm))
 
     def __truediv__(self, other):
         other = CycNum._coerce(other)

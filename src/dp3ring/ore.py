@@ -31,6 +31,13 @@ REWRITE_RULES: dict[str, tuple[tuple[CycNum, str], ...]] = {
     "xz": ((ZETA, "zx"), (-ONE, "ww")),
 }
 
+# the same rules with each coefficient as its pair (p, q) = p + q*zeta; all
+# lie in Z[zeta], so the pairs are plain ints
+_PAIR_RULES: dict[str, tuple[tuple[tuple[int, int], str], ...]] = {
+    pair: tuple(((c.p, c.q), replacement) for c, replacement in rules)
+    for pair, rules in REWRITE_RULES.items()
+}
+
 
 def termination_measure(word: str) -> tuple[int, int, int]:
     """(#x, #z, inversions); rewriting strictly decreases this, lexicographically."""
@@ -62,25 +69,36 @@ def normal_form(p: NcPoly, strategy: str = "leftmost") -> NcPoly:
     `strategy` picks which reducible pair is rewritten first; by confluence
     the result does not depend on it (tested), only the intermediate work
     does.
+
+    Each word of p is rewritten from coefficient 1.  Every rule coefficient
+    lies in Z[zeta], so the rewriting carries plain integer pairs (a, b)
+    meaning a + b*zeta, and each resulting monomial is multiplied by the
+    word's own coefficient once.
     """
     if p.alphabet != WZX:
         raise AlphabetMismatchError("normal_form expects the w,z,x alphabet")
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
     rightmost = strategy == "rightmost"
-    pending = list(p.terms.items())
     out: dict[str, CycNum] = {}
-    while pending:
-        word, coeff = pending.pop()
-        i = _find_redex(word, rightmost)
-        if i is None:
-            out[word] = out.get(word, CycNum(0)) + coeff
-            continue
-        measure = termination_measure(word)
-        for rule_coeff, replacement in REWRITE_RULES[word[i : i + 2]]:
-            new_word = word[:i] + replacement + word[i + 2 :]
-            assert termination_measure(new_word) < measure
-            pending.append((new_word, coeff * rule_coeff))
+    for start, coeff in reversed(p.terms.items()):
+        reached: dict[str, tuple[int, int]] = {}
+        pending = [(start, 1, 0)]
+        while pending:
+            word, a, b = pending.pop()
+            i = _find_redex(word, rightmost)
+            if i is None:
+                a0, b0 = reached.get(word, (0, 0))
+                reached[word] = (a0 + a, b0 + b)
+                continue
+            measure = termination_measure(word)
+            for (rp, rq), replacement in _PAIR_RULES[word[i : i + 2]]:
+                new_word = word[:i] + replacement + word[i + 2 :]
+                assert termination_measure(new_word) < measure
+                # (a + b*zeta)(rp + rq*zeta), then zeta^2 = zeta - 1
+                pending.append((new_word, a * rp - b * rq, a * rq + b * rp + b * rq))
+        for word, (a, b) in reached.items():
+            out[word] = out.get(word, CycNum(0)) + CycNum(a, b) * coeff
     return NcPoly(WZX, out)
 
 
@@ -138,10 +156,17 @@ def pbw_basis(n: int) -> list[PbwMonomial]:
 
 
 def hilbert_coeffs(max_degree: int) -> list[int]:
-    """Graded dimensions [dim_0, ..., dim_max_degree] via basis counting."""
+    """Graded dimensions [dim_0, ..., dim_max_degree], counting the basis.
+
+    For each i the exponents j of `pbw_basis(n)` run over 0..(n - 2i)//3,
+    so the count needs no monomials.
+    """
     if max_degree < 0:
         raise ValueError("degree must be non-negative")
-    return [len(pbw_basis(n)) for n in range(max_degree + 1)]
+    return [
+        sum((n - 2 * i) // 3 + 1 for i in range(n // 2 + 1))
+        for n in range(max_degree + 1)
+    ]
 
 
 def pbw_coefficients(p: NcPoly) -> dict[PbwMonomial, CycNum]:

@@ -101,10 +101,16 @@ def test_h0_accepts_negative_coordinates(capsys):
 
 def test_h0_of_a_huge_class_is_counted_not_enumerated(capsys):
     # (a+1)(a+2)/2 sections for (a, 0, 0, 0): far too many monomials to
-    # enumerate, but the interval count takes a million short steps
+    # enumerate, but the count is a closed form
     code, out, _ = run_cli(capsys, "h0", "1000000", "0", "0", "0")
     assert code == 0
     assert out == "500001500001\n"
+
+
+def test_h0_of_a_ten_million_class_is_closed_form(capsys):
+    code, out, _ = run_cli(capsys, "h0", "10000000", "0", "0", "0")
+    assert code == 0
+    assert out == "50000015000001\n"
 
 
 def test_basis_of_the_quadratic_piece(capsys):
@@ -160,6 +166,17 @@ def test_hilbert_low_degrees(capsys):
     code, out, _ = run_cli(capsys, "hilbert", "--max-degree", "6")
     assert code == 0
     assert out == "1, 1, 2, 3, 4, 5, 7\n"
+
+
+def test_hilbert_at_a_large_cap(capsys):
+    # the basis is never built: degree 2000 alone has 334334 monomials
+    code, out, _ = run_cli(capsys, "hilbert", "--max-degree", "2000")
+    assert code == 0
+    coeffs = [int(c) for c in out.split(", ")]
+    assert len(coeffs) == 2001
+    # oracle: partitions into parts 1, 2, 3 number round((n + 3)^2 / 12)
+    assert all(c == ((n + 3) ** 2 + 6) // 12 for n, c in enumerate(coeffs))
+    assert coeffs[-1] == 334334
 
 
 def test_verify_small_cap_passes(capsys):

@@ -1,5 +1,6 @@
 """The graded coordinate ring: weights, section enumeration, rotation."""
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -98,6 +99,25 @@ def test_section_count_matches_the_enumerated_basis():
         for b, c, d in product(coords, coords, coords):
             div = DivisorClass(a, b, c, d)
             assert section_count(div) == len(enumerate_sections(div).basis), div
+
+
+def _section_count_by_rows(div):
+    # oracle: one interval of j for each i, summed row by row in O(a)
+    a, b, c, d = div
+    j_max = min(a, a - b)
+    count = 0
+    for i in range(min(a, a - c) + 1):
+        count += max(0, min(j_max, a - i) - max(0, d - i) + 1)
+    return count
+
+
+def test_section_count_closed_form_matches_the_row_sums():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        a = rng.randint(-20, 2000)
+        b, c, d = (rng.randint(-a - 20, a + 20) for _ in range(3))
+        div = DivisorClass(a, b, c, d)
+        assert section_count(div) == _section_count_by_rows(div), div
 
 
 def test_basis_is_strictly_sorted_descending():

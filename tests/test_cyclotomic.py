@@ -99,6 +99,31 @@ def test_mixed_arithmetic_with_ints_and_fractions():
     assert Fraction(1, 2) - ZETA == CycNum(Fraction(1, 2), -1)
 
 
+def test_integral_parts_are_plain_ints():
+    for value in (CycNum(3, -2), CycNum(Fraction(4, 2), Fraction(-6, 3)), ZETA * ZETA,
+                  CycNum(Fraction(1, 2)) * 2, CycNum(Fraction(1, 3), 1) + Fraction(2, 3)):
+        assert type(value.p) is int and type(value.q) is int, value
+    half = CycNum(Fraction(1, 2), 5)
+    assert type(half.p) is Fraction and type(half.q) is int
+
+
+def test_division_and_negative_powers_stay_exact():
+    values = [CycNum(2), CycNum(1, 2), CycNum(3, -1), ZETA, CycNum(Fraction(1, 3), -1)]
+    for a in values:
+        for result in (a.inv(), 1 / a, a / CycNum(7, 2), a**-3, CycNum(5) / a):
+            assert type(result.p) in (int, Fraction), result
+            assert type(result.q) in (int, Fraction), result
+    assert CycNum(2).inv().p == Fraction(1, 2)
+    assert CycNum(1, 2).inv() == CycNum(Fraction(3, 7), Fraction(-2, 7))
+
+
+def test_integral_fraction_equals_int():
+    a, b = CycNum(Fraction(4, 2)), CycNum(2)
+    assert a == b and hash(a) == hash(b) and str(a) == str(b) == "2"
+    a, b = CycNum(Fraction(4, 2), Fraction(-3, 1)), CycNum(2, -3)
+    assert a == b and hash(a) == hash(b) and str(a) == str(b) == "2 - 3*zeta"
+
+
 def test_equality_and_hash_on_rational_values():
     assert CycNum(3) == 3
     assert hash(CycNum(3)) == hash(3)

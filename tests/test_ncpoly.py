@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dp3ring.cyclotomic import CycNum, ZETA
 from dp3ring.ncpoly import (
@@ -210,6 +210,12 @@ def test_multiplication_distributes(p, q, r):
     assert (p + q) * r == p * r + q * r
 
 
+# a y-heavy input that once ran past hypothesis's deadline: y = w + x^2
+# expands term by term, so y^5 * y^5 makes 2^10 words per coefficient
+@example(
+    p=NcPoly(XY, {"yyyyy": CycNum(0, -2), "xyxx": Fraction(1, 2), "yyy": ZETA}),
+    q=NcPoly(XY, {"yyyyy": 1}),
+)
 @settings(max_examples=60)
 @given(p=polys(XY), q=polys(XY))
 def test_substitution_is_a_homomorphism(p, q):

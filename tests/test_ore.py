@@ -146,6 +146,11 @@ def test_hilbert_against_series_oracle():
     assert series[9] == 12
 
 
+def test_hilbert_counts_the_pbw_basis():
+    # oracle: the enumerated basis itself
+    assert hilbert_coeffs(60) == [len(pbw_basis(n)) for n in range(61)]
+
+
 def test_hilbert_recurrence():
     coeffs = hilbert_coeffs(30)
     for n in range(25):
