@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 
 from . import cox, ore, thcr, verify
-from .ncpoly import ALPHABETS, ParseError, parse
+from .ncpoly import ALPHABETS, ParseError, parse, render_word
 from .picard import DivisorClass, K, chi, h0_formula, is_ample, twist_divisor
 
 
@@ -89,7 +90,7 @@ def _cmd_h0(args) -> int:
 
 def _cmd_basis(args) -> int:
     if args.ring == "R":
-        rendered = [mono.render() for mono in ore.pbw_basis(args.n)]
+        rendered = [render_word(word) for word in ore.pbw_basis(args.n)]
     else:
         rendered = [mono.render() for mono in thcr.twist_basis(args.n).basis]
     _emit(
@@ -221,6 +222,11 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
+    """Console entry point.  A reader that closes stdout early ends the
+    process by SIGPIPE, as with other filters, not with a traceback and the
+    exit code of a failed verification.  `main` leaves signals alone."""
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     raise SystemExit(main())
 
 

@@ -47,9 +47,7 @@ class Alphabet:
 
 XY = Alphabet("xy", ("x", "y"), (1, 2))
 WZX = Alphabet("wzx", ("w", "z", "x"), (2, 3, 1))
-COX = Alphabet("cox", ("X", "Y", "Z", "s", "t", "u"), (1, 1, 1, 1, 1, 1))
-
-ALPHABETS = {a.name: a for a in (XY, WZX, COX)}
+ALPHABETS = {a.name: a for a in (XY, WZX)}
 
 
 def word_degree(word: str, alphabet: Alphabet) -> int:
@@ -57,7 +55,8 @@ def word_degree(word: str, alphabet: Alphabet) -> int:
     return sum(alphabet.weight(ch) for ch in word)
 
 
-def _render_word(word: str) -> str:
+def render_word(word: str) -> str:
+    """A word as the grammar writes it, runs as powers: "wwzx" -> "w^2*z*x"."""
     if not word:
         return "1"
     parts = []
@@ -79,14 +78,15 @@ class NcPoly:
 
     def __init__(self, alphabet: Alphabet, terms: dict | None = None):
         self.alphabet = alphabet
+        letters = frozenset(alphabet.letters)
         clean: dict[str, CycNum] = {}
         for word, coeff in (terms or {}).items():
             value = CycNum._coerce(coeff)
             if value is None:
                 raise TypeError(f"bad coefficient {coeff!r}")
-            for ch in word:
-                if ch not in alphabet:
-                    raise ValueError(f"letter {ch!r} not in alphabet {alphabet.name!r}")
+            if not letters.issuperset(word):
+                ch = next(ch for ch in word if ch not in letters)
+                raise ValueError(f"letter {ch!r} not in alphabet {alphabet.name!r}")
             if value:
                 clean[word] = value
         self.terms = clean
@@ -206,13 +206,14 @@ class NcPoly:
         target = targets.pop()
         out = NcPoly.zero(target)
         for word, coeff in self.terms.items():
-            piece = NcPoly.scalar(target, coeff)
+            # the word's coefficient multiplies once, not once per letter
+            piece = NcPoly.scalar(target, 1)
             for ch in word:
                 try:
                     piece = piece * images[ch]
                 except KeyError:
                     raise ValueError(f"no image for letter {ch!r}") from None
-            out = out + piece
+            out = out + piece * coeff
         return out
 
     # -- rendering ---------------------------------------------------------------
@@ -253,7 +254,7 @@ def _render_term(coeff: CycNum, word: str, many_terms: bool) -> str:
         if coeff.q != 0 and coeff.p != 0 and many_terms:
             return f"({coeff})"
         return str(coeff)
-    body = _render_word(word)
+    body = render_word(word)
     if coeff == 1:
         return body
     if coeff == -1:

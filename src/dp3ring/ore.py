@@ -3,10 +3,13 @@
     zw = zeta*wz,    xw = -zeta^2*wx + z,    xz = zeta*zx - w^2,
 
 with weights w = 2, z = 3, x = 1.  Repeated rewriting moves every word onto
-the ordered-monomial basis {w^i z^j x^k}, which is a linear basis, so the
-normal form is unique.  The same ring is generated by x (weight 1) and
-y = w + x^2 (weight 2) subject to x^5 = yxy and y^2 = xyx; `xy_to_pbw`
-converts from that presentation.
+the ordered words w^i z^j x^k.  These are a linear basis, so the normal form
+is unique: by Bergman's diamond lemma (Adv. Math. 29, 1978) it suffices that
+the one ambiguity of the rules, xzw, resolves and that the rules lower a
+semigroup order, which `tests/test_ore.py` checks from `REWRITE_RULES`.
+The same ring is generated by x (weight 1) and y = w + x^2 (weight 2)
+subject to x^5 = yxy and y^2 = xyx; `xy_to_pbw` converts from that
+presentation.
 
 Termination: each rule application strictly decreases the measure
 (#x, #z, inversions) in lexicographic order, where inversions counts the
@@ -16,8 +19,6 @@ z).  The measure is asserted on every application.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .cyclotomic import CycNum, ONE, ZETA
 from .ncpoly import NcPoly, WZX, XY, AlphabetMismatchError
@@ -50,9 +51,9 @@ def termination_measure(word: str) -> tuple[int, int, int]:
     return (word.count("x"), word.count("z"), inversions)
 
 
-def _find_redex(word: str, rightmost: bool) -> int | None:
-    indices = range(len(word) - 2, -1, -1) if rightmost else range(len(word) - 1)
-    for i in indices:
+def _find_redex(word: str) -> int | None:
+    """Position of the leftmost reducible pair, or None for an ordered word."""
+    for i in range(len(word) - 1):
         if word[i : i + 2] in REWRITE_RULES:
             return i
     return None
@@ -60,15 +61,15 @@ def _find_redex(word: str, rightmost: bool) -> int | None:
 
 def is_pbw_word(word: str) -> bool:
     """True iff the word is a sorted block w...w z...z x...x."""
-    return _find_redex(word, rightmost=False) is None
+    return _find_redex(word) is None
 
 
-def normal_form(p: NcPoly, strategy: str = "leftmost") -> NcPoly:
+def normal_form(p: NcPoly) -> NcPoly:
     """Unique ordered-monomial representative of p's class.
 
-    `strategy` picks which reducible pair is rewritten first; by confluence
-    the result does not depend on it (tested), only the intermediate work
-    does.
+    The leftmost reducible pair is rewritten first; any other order gives
+    the same result, because the rules resolve their one ambiguity (the
+    diamond-lemma test).
 
     Each word of p is rewritten from coefficient 1.  Every rule coefficient
     lies in Z[zeta], so the rewriting carries plain integer pairs (a, b)
@@ -77,16 +78,13 @@ def normal_form(p: NcPoly, strategy: str = "leftmost") -> NcPoly:
     """
     if p.alphabet != WZX:
         raise AlphabetMismatchError("normal_form expects the w,z,x alphabet")
-    if strategy not in ("leftmost", "rightmost"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    rightmost = strategy == "rightmost"
     out: dict[str, CycNum] = {}
     for start, coeff in reversed(p.terms.items()):
         reached: dict[str, tuple[int, int]] = {}
         pending = [(start, 1, 0)]
         while pending:
             word, a, b = pending.pop()
-            i = _find_redex(word, rightmost)
+            i = _find_redex(word)
             if i is None:
                 a0, b0 = reached.get(word, (0, 0))
                 reached[word] = (a0 + a, b0 + b)
@@ -115,44 +113,15 @@ def xy_to_pbw(p: NcPoly) -> NcPoly:
     return normal_form(p.substitute(_XY_IMAGES))
 
 
-@dataclass(frozen=True, order=True)
-class PbwMonomial:
-    """Exponent triple (i, j, k) for the basis monomial w^i z^j x^k."""
-
-    i: int
-    j: int
-    k: int
-
-    @property
-    def degree(self) -> int:
-        return 2 * self.i + 3 * self.j + self.k
-
-    def word(self) -> str:
-        return "w" * self.i + "z" * self.j + "x" * self.k
-
-    def render(self) -> str:
-        parts = []
-        for letter, exp in (("w", self.i), ("z", self.j), ("x", self.k)):
-            if exp == 1:
-                parts.append(letter)
-            elif exp > 1:
-                parts.append(f"{letter}^{exp}")
-        return "*".join(parts) if parts else "1"
-
-    def __str__(self):
-        return self.render()
-
-
-def pbw_basis(n: int) -> list[PbwMonomial]:
-    """All (i, j, k) >= 0 with 2i + 3j + k = n, sorted by (i, j, k)."""
+def pbw_basis(n: int) -> list[str]:
+    """The ordered words w^i z^j x^k of weighted degree n, sorted by (i, j, k)."""
     if n < 0:
         raise ValueError("degree must be non-negative")
-    out = []
-    for i in range(n // 2 + 1):
-        rest = n - 2 * i
-        for j in range(rest // 3 + 1):
-            out.append(PbwMonomial(i, j, rest - 3 * j))
-    return out
+    return [
+        "w" * i + "z" * j + "x" * (n - 2 * i - 3 * j)
+        for i in range(n // 2 + 1)
+        for j in range((n - 2 * i) // 3 + 1)
+    ]
 
 
 def hilbert_coeffs(max_degree: int) -> list[int]:
@@ -167,16 +136,6 @@ def hilbert_coeffs(max_degree: int) -> list[int]:
         sum((n - 2 * i) // 3 + 1 for i in range(n // 2 + 1))
         for n in range(max_degree + 1)
     ]
-
-
-def pbw_coefficients(p: NcPoly) -> dict[PbwMonomial, CycNum]:
-    """Coefficients of a polynomial already in normal form on the basis."""
-    out: dict[PbwMonomial, CycNum] = {}
-    for word, coeff in p.terms.items():
-        if not is_pbw_word(word):
-            raise ValueError(f"word {word!r} is not an ordered monomial")
-        out[PbwMonomial(word.count("w"), word.count("z"), word.count("x"))] = coeff
-    return out
 
 
 def commutes_with_generators(p: NcPoly) -> bool:

@@ -242,12 +242,17 @@ def check_cubic_veronese() -> CheckResult:
     gens = [parse(text, XY) for text in ("x^3", "x*y", "y*x")]
     basis6 = ore.pbw_basis(6)
     rows = []
+    problems = []
     for left in gens:
         for right in gens:
-            coeffs = ore.pbw_coefficients(ore.xy_to_pbw(left * right))
-            rows.append([coeffs.get(mono, CycNum(0)) for mono in basis6])
+            terms = ore.xy_to_pbw(left * right).terms
+            problems.extend(
+                f"({left})*({right}) has the unordered word {word!r}"
+                for word in terms
+                if not ore.is_pbw_word(word)
+            )
+            rows.append([terms.get(word, CycNum(0)) for word in basis6])
     kernel = len(rows) - matrix_rank(rows)
-    problems = []
     if kernel != 2:
         problems.append(f"kernel dimension {kernel} != 2")
     if not ore.xy_to_pbw(gens[0] * gens[0] - gens[1] * gens[1]).is_zero:

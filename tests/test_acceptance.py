@@ -181,8 +181,10 @@ def test_criterion_09_cubic_veronese():
     rows = []
     for left in gens:
         for right in gens:
-            coeffs = ore.pbw_coefficients(ore.xy_to_pbw(left * right))
-            rows.append([coeffs.get(mono, CycNum(0)) for mono in basis6])
+            terms = ore.xy_to_pbw(left * right).terms
+            if not all(ore.is_pbw_word(word) for word in terms):
+                problems.append(f"unordered word in ({left})*({right})")
+            rows.append([terms.get(word, CycNum(0)) for word in basis6])
     kernel = len(rows) - verify.matrix_rank(rows)
     if kernel != 2:
         problems.append(f"kernel dimension {kernel} != 2")

@@ -1,8 +1,11 @@
 """Command line behaviour: golden outputs, exit codes, json stability."""
 
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -269,6 +272,26 @@ def test_verify_reaches_cap_forty(capsys):
     code, out, _ = run_cli(capsys, "verify", "--max-degree", "40")
     assert code == 0
     assert out.endswith("result: 17/17 checks passed\n")
+
+
+def test_closed_stdout_gives_no_traceback():
+    # like `dp3ring verify | true`: the reader is gone before the report is
+    # written; exit code 1 would claim a failed verification
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "dp3ring.cli", "verify", "--max-degree", "6"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr.decode()
+    assert proc.returncode != 1
 
 
 def test_readme_examples_match_cli_output(capsys):

@@ -7,9 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dp3ring.cyclotomic import CycNum, ZETA
 from dp3ring.ncpoly import (
-    ALPHABETS,
     AlphabetMismatchError,
-    COX,
     NcPoly,
     ParseError,
     WZX,
@@ -57,6 +55,11 @@ def test_alphabet_mismatch_raises():
         NcPoly.variable(XY, "x") * NcPoly.variable(WZX, "x")
 
 
+def test_foreign_letter_is_named():
+    with pytest.raises(ValueError, match="^letter 'w' not in alphabet 'xy'$"):
+        NcPoly(XY, {"xy": 1, "xywx": 2})
+
+
 def test_parse_defining_relation():
     poly = xy("x^5 - y*x*y")
     assert poly.terms == {"xxxxx": CycNum(1), "yxy": CycNum(-1)}
@@ -93,12 +96,6 @@ def test_parse_leading_sign():
 
 def test_parse_never_reorders():
     assert xy("x*y") != xy("y*x")
-
-
-def test_parse_cox_alphabet():
-    poly = parse("X*u + Z*t", COX)
-    assert set(poly.terms) == {"Xu", "Zt"}
-    assert ALPHABETS["cox"] is COX
 
 
 def test_parse_syntax_error_has_position():

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+import dp3ring.ore as ore
 import dp3ring.picard as picard
 from dp3ring.cyclotomic import CycNum, ZETA
+from dp3ring.ncpoly import NcPoly, WZX
 from dp3ring.verify import (
     NOT_MACHINE_CHECKABLE,
     check_ample_criterion_box,
@@ -135,8 +137,17 @@ def test_veronese_kernel_dimension():
     assert "dimension 2" in check.detail
 
 
+def test_cubic_veronese_reports_unordered_words(monkeypatch):
+    # a normal form that leaves a word unordered fails the check, no raise
+    real = ore.xy_to_pbw
+    monkeypatch.setattr(ore, "xy_to_pbw", lambda p: real(p) + NcPoly.term(WZX, "xw"))
+    check = check_cubic_veronese()
+    assert not check.passed
+    assert "(x^3)*(x^3) has the unordered word 'xw'" in check.witness
+
+
 def test_iso_degree_thirteen_counts():
-    from dp3ring import ore, thcr
+    from dp3ring import thcr
 
     count, images = thcr.word_image_exponents(13)
     assert count == 377
