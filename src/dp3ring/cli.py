@@ -92,7 +92,7 @@ def _cmd_basis(args) -> int:
     if args.ring == "R":
         rendered = [render_word(word) for word in ore.pbw_basis(args.n)]
     else:
-        rendered = [mono.render() for mono in thcr.twist_basis(args.n).basis]
+        rendered = [cox.render_monomial(m) for m in thcr.twist_basis(args.n).basis]
     _emit(
         args,
         "basis",

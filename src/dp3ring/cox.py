@@ -7,12 +7,16 @@ monomials of multidegree D, which this module enumerates directly.  The
 cyclic rotation X -> u -> Y -> t -> Z -> s -> X of the variables realizes
 the hexagon symmetry on sections and matches the lattice rotation on
 multidegrees.
+
+A monomial is its exponent 6-tuple in the variable order X, Y, Z, s, t, u;
+tuples compare lexicographically, which is the canonical display order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .picard import DivisorClass
 
@@ -59,48 +63,28 @@ def rotate_variable(name: str, times: int = 1) -> str:
 
 
 def rotate_exponents(exps: tuple[int, ...], times: int = 1) -> tuple[int, ...]:
+    """Image of a section monomial under `times` steps of the rotation."""
     src = _ROT_SOURCE[times % 6]
     return tuple(exps[src[j]] for j in range(6))
 
 
-@dataclass(frozen=True, order=True)
-class CoxMonomial:
-    """Exponent 6-vector in the fixed variable order X, Y, Z, s, t, u."""
-
-    exps: tuple[int, int, int, int, int, int]
-
-    def __post_init__(self):
-        if len(self.exps) != 6 or any(e < 0 for e in self.exps):
-            raise ValueError(f"bad exponent vector {self.exps!r}")
-
-    def __mul__(self, other: CoxMonomial) -> CoxMonomial:
-        return CoxMonomial(tuple(a + b for a, b in zip(self.exps, other.exps)))
-
-    def render(self) -> str:
-        parts = []
-        for name, exp in zip(VARIABLES, self.exps):
-            if exp == 1:
-                parts.append(name)
-            elif exp > 1:
-                parts.append(f"{name}^{exp}")
-        return "*".join(parts) if parts else "1"
-
-    def __str__(self):
-        return self.render()
+def monomial_product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Product of two section monomials: the sum of their exponent vectors."""
+    return tuple(map(add, a, b))
 
 
-UNIT = CoxMonomial((0, 0, 0, 0, 0, 0))
+UNIT = (0, 0, 0, 0, 0, 0)
 
 
-def variable_monomial(name: str) -> CoxMonomial:
+def variable_monomial(name: str) -> tuple[int, ...]:
     i = VARIABLES.index(name)
-    return CoxMonomial(tuple(1 if j == i else 0 for j in range(6)))
+    return tuple(1 if j == i else 0 for j in range(6))
 
 
-def multidegree(mono: CoxMonomial) -> DivisorClass:
+def multidegree(exps: tuple[int, ...]) -> DivisorClass:
     """Integer combination of the variable weights by the exponents."""
     a = b = c = d = 0
-    for exp, (wa, wb, wc, wd) in zip(mono.exps, WEIGHT_TABLE):
+    for exp, (wa, wb, wc, wd) in zip(exps, WEIGHT_TABLE):
         if exp:
             a += exp * wa
             b += exp * wb
@@ -109,93 +93,82 @@ def multidegree(mono: CoxMonomial) -> DivisorClass:
     return DivisorClass(a, b, c, d)
 
 
-def rotate_monomial(mono: CoxMonomial, times: int = 1) -> CoxMonomial:
-    return CoxMonomial(rotate_exponents(mono.exps, times))
+def render_monomial(exps: tuple[int, ...]) -> str:
+    """Canonical rendering, e.g. "X^2*Y*s*u^2", or "1" for the unit."""
+    parts = []
+    for name, exp in zip(VARIABLES, exps):
+        if exp == 1:
+            parts.append(name)
+        elif exp > 1:
+            parts.append(f"{name}^{exp}")
+    return "*".join(parts) if parts else "1"
 
 
-def parse_monomial(text: str) -> CoxMonomial:
-    """Parse the canonical rendering, e.g. "X^2*Y*s*u^2" or "1"."""
+def parse_monomial(text: str) -> tuple[int, ...]:
+    """Parse the canonical rendering, e.g. "X^2*Y*s*u^2" or "1".
+
+    An exponent is one or more ASCII digits; anything else after "^" is an
+    error, so a malformed rendering never parses.
+    """
     text = text.strip()
     if text == "1":
         return UNIT
     exps = [0] * 6
     for piece in text.split("*"):
-        name, _, power = piece.partition("^")
+        name, caret, power = piece.partition("^")
         if name not in VARIABLES:
             raise ValueError(f"unknown variable {name!r}")
-        exps[VARIABLES.index(name)] += int(power) if power else 1
-    return CoxMonomial(tuple(exps))
+        if caret and not (power.isascii() and power.isdigit()):
+            raise ValueError(f"bad exponent {power!r} of {name}")
+        exps[VARIABLES.index(name)] += int(power) if caret else 1
+    return tuple(exps)
 
 
 class CoxPoly:
-    """Commutative polynomial with exact rational coefficients."""
+    """Commutative polynomial with exact rational coefficients, a map from
+    exponent vectors to nonzero Fractions."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict | None = None):
-        clean: dict[CoxMonomial, Fraction] = {}
+        clean: dict[tuple[int, ...], Fraction] = {}
         for mono, coeff in (terms or {}).items():
             value = Fraction(coeff)
             if value:
                 clean[mono] = value
         self.terms = clean
 
-    @classmethod
-    def from_monomial(cls, mono: CoxMonomial, coeff=1) -> CoxPoly:
-        return cls({mono: coeff})
-
-    def __add__(self, other: CoxPoly) -> CoxPoly:
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            out[mono] = out.get(mono, Fraction(0)) + coeff
-        return CoxPoly(out)
-
-    def __sub__(self, other: CoxPoly) -> CoxPoly:
-        return self + (-other)
-
-    def __neg__(self) -> CoxPoly:
-        return CoxPoly({m: -c for m, c in self.terms.items()})
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return CoxPoly({m: c * other for m, c in self.terms.items()})
         if not isinstance(other, CoxPoly):
             return NotImplemented
-        out: dict[CoxMonomial, Fraction] = {}
+        out: dict[tuple[int, ...], Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                prod = m1 * m2
+                prod = monomial_product(m1, m2)
                 out[prod] = out.get(prod, Fraction(0)) + c1 * c2
         return CoxPoly(out)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
+    def rotate(self, times: int = 1) -> CoxPoly:
+        """Apply the cyclic variable rotation to every monomial."""
+        return CoxPoly({rotate_exponents(m, times): c for m, c in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, CoxPoly):
             return NotImplemented
         return self.terms == other.terms
 
-    def __bool__(self):
-        return bool(self.terms)
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def monomials(self) -> list[CoxMonomial]:
-        # canonical display order: lex on exponent vectors, largest first
-        return sorted(self.terms, reverse=True)
 
     def render(self) -> str:
         if not self.terms:
             return "0"
         pieces = []
-        for mono in self.monomials():
+        # canonical display order: lex on exponent vectors, largest first
+        for mono in sorted(self.terms, reverse=True):
             coeff = self.terms[mono]
-            body = mono.render()
+            body = render_monomial(mono)
             if coeff == 1:
                 pieces.append(body)
             elif coeff == -1:
@@ -207,20 +180,8 @@ class CoxPoly:
             out += " - " + piece[1:] if piece.startswith("-") else " + " + piece
         return out
 
-    def __str__(self):
-        return self.render()
-
     def __repr__(self):
         return f"<cox: {self.render()}>"
-
-
-def rotate_vars(obj, times: int = 1):
-    """Apply the cyclic variable rotation to a monomial or polynomial."""
-    if isinstance(obj, CoxMonomial):
-        return rotate_monomial(obj, times)
-    if isinstance(obj, CoxPoly):
-        return CoxPoly({rotate_monomial(m, times): c for m, c in obj.terms.items()})
-    raise TypeError(f"cannot rotate {type(obj).__name__}")
 
 
 @dataclass(frozen=True)
@@ -232,7 +193,7 @@ class SectionSpace:
     """
 
     degree: DivisorClass
-    basis: tuple[CoxMonomial, ...]
+    basis: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         for prev, cur in zip(self.basis, self.basis[1:]):
@@ -240,7 +201,9 @@ class SectionSpace:
                 raise ValueError("basis must be strictly sorted")
         for mono in self.basis:
             if multidegree(mono) != self.degree:
-                raise ValueError(f"{mono} does not have multidegree {self.degree}")
+                raise ValueError(
+                    f"{render_monomial(mono)} does not have multidegree {self.degree}"
+                )
 
     @property
     def dimension(self) -> int:
@@ -264,7 +227,7 @@ def enumerate_sections(div: DivisorClass) -> SectionSpace:
             et = j + k - c
             eu = i + j - d
             if es >= 0 and et >= 0 and eu >= 0:
-                found.append(CoxMonomial((i, j, k, es, et, eu)))
+                found.append((i, j, k, es, et, eu))
     found.sort(reverse=True)
     return SectionSpace(div, tuple(found))
 

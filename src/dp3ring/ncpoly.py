@@ -176,13 +176,6 @@ class NcPoly:
 
     # -- grading ---------------------------------------------------------------
 
-    def graded_component(self, n: int) -> NcPoly:
-        """The sum of terms of weighted degree exactly n."""
-        picked = {
-            w: c for w, c in self.terms.items() if word_degree(w, self.alphabet) == n
-        }
-        return NcPoly(self.alphabet, picked)
-
     def homogeneous_degree(self) -> int | None:
         """The common weighted degree of all terms, or None if mixed/zero."""
         degrees = {word_degree(w, self.alphabet) for w in self.terms}
@@ -204,7 +197,7 @@ class NcPoly:
         if len(targets) != 1:
             raise AlphabetMismatchError("images live in different alphabets")
         target = targets.pop()
-        out = NcPoly.zero(target)
+        out: dict[str, CycNum] = {}
         for word, coeff in self.terms.items():
             # the word's coefficient multiplies once, not once per letter
             piece = NcPoly.scalar(target, 1)
@@ -213,8 +206,10 @@ class NcPoly:
                     piece = piece * images[ch]
                 except KeyError:
                     raise ValueError(f"no image for letter {ch!r}") from None
-            out = out + piece * coeff
-        return out
+            # one running sum: adding polynomials would copy every term so far
+            for w, c in piece.terms.items():
+                out[w] = out.get(w, CycNum(0)) + c * coeff
+        return NcPoly(target, out)
 
     # -- rendering ---------------------------------------------------------------
 

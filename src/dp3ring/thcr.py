@@ -13,14 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cox import (
-    CoxMonomial,
+    UNIT,
     CoxPoly,
     SectionSpace,
     enumerate_sections,
+    monomial_product,
     multidegree,
+    render_monomial,
     rotate_exponents,
-    rotate_monomial,
-    rotate_vars,
 )
 from .ncpoly import NcPoly, XY
 from .picard import twist_divisor
@@ -73,7 +73,7 @@ class GradedSection:
         for mono in self.poly.terms:
             if multidegree(mono) != target:
                 raise ValueError(
-                    f"monomial {mono} breaks homogeneity: multidegree "
+                    f"monomial {render_monomial(mono)} breaks homogeneity: multidegree "
                     f"{multidegree(mono)} != {target}"
                 )
 
@@ -86,7 +86,7 @@ class GradedSection:
 
 def twisted_mul(a: GradedSection, b: GradedSection) -> GradedSection:
     """Product of a degree-m and a degree-n section: a times rot^m(b)."""
-    return GradedSection(a.n + b.n, a.poly * rotate_vars(b.poly, a.n))
+    return GradedSection(a.n + b.n, a.poly * b.poly.rotate(a.n))
 
 
 def twist_basis(n: int) -> SectionSpace:
@@ -94,24 +94,24 @@ def twist_basis(n: int) -> SectionSpace:
     return enumerate_sections(twist_divisor(n))
 
 
-def word_image(word: str) -> CoxMonomial:
-    """Evaluate an x,y-word left to right into a section monomial.
+def word_image(word: str) -> tuple[int, ...]:
+    """Evaluate an x,y-word left to right into a section monomial's
+    exponent vector.
 
     The accumulated weighted degree m twists the next letter's image by
     rot^m; the result always has coefficient one since rotation introduces
     no scalars.
     """
-    exps = (0, 0, 0, 0, 0, 0)
+    exps = UNIT
     m = 0
     for ch in word:
         try:
             gen = _LETTER_EXPS[ch]
         except KeyError:
             raise ValueError(f"words use only 'x' and 'y', got {ch!r}") from None
-        shifted = rotate_exponents(gen, m)
-        exps = tuple(e + g for e, g in zip(exps, shifted))
+        exps = monomial_product(exps, rotate_exponents(gen, m))
         m += _LETTER_DEGREE[ch]
-    return CoxMonomial(exps)
+    return exps
 
 
 def word_image_levels(max_degree: int):
@@ -128,14 +128,14 @@ def word_image_levels(max_degree: int):
     if max_degree < 0:
         raise ValueError("degree must be non-negative")
     below: dict[tuple[int, ...], int] = {}
-    level = {(0, 0, 0, 0, 0, 0): 1}
+    level = {UNIT: 1}
     yield 1, set(level)
     for d in range(1, max_degree + 1):
         step: dict[tuple[int, ...], int] = {}
         for prefixes, m, gen in ((level, d - 1, _X_EXPS), (below, d - 2, _Y_EXPS)):
             shifted = rotate_exponents(gen, m)
             for exps, words in prefixes.items():
-                image = tuple(e + g for e, g in zip(exps, shifted))
+                image = monomial_product(exps, shifted)
                 step[image] = step.get(image, 0) + words
         below, level = level, step
         yield sum(level.values()), set(level)
@@ -158,19 +158,24 @@ def section_from_xy(p: NcPoly) -> GradedSection:
     degree = p.homogeneous_degree()
     if degree is None:
         raise ValueError("polynomial is not homogeneous")
-    poly = CoxPoly()
+    terms = {}
     for word, coeff in p.terms.items():
         if not coeff.is_rational:
             raise ValueError("twisted-ring sections carry rational coefficients")
-        poly = poly + CoxPoly.from_monomial(word_image(word), coeff.p)
-    return GradedSection(degree, poly)
+        image = word_image(word)
+        terms[image] = terms.get(image, 0) + coeff.p
+    return GradedSection(degree, CoxPoly(terms))
 
 
-def _cover(n: int, k: int) -> set[CoxMonomial]:
+def _cover(n: int, k: int) -> set[tuple[int, ...]]:
     """Twisted products of the degree-k basis with rot^k of the
     degree-(n+2-k) basis: the part of degree n+2 reached from degree k."""
     rest = twist_basis(n + 2 - k).basis
-    return {a * rotate_monomial(b, k) for a in twist_basis(k).basis for b in rest}
+    return {
+        monomial_product(a, rotate_exponents(b, k))
+        for a in twist_basis(k).basis
+        for b in rest
+    }
 
 
 def degree_two_covers(n: int) -> bool:

@@ -154,13 +154,6 @@ def test_substitute_missing_image():
         xy("x*y").substitute({"x": NcPoly.variable(WZX, "x")})
 
 
-def test_graded_component():
-    assert xy("x + y").graded_component(2) == xy("y")
-    rel = xy("x^5 - y*x*y")
-    assert rel.graded_component(5) == rel
-    assert rel.graded_component(4).is_zero
-
-
 def test_defining_relations_are_homogeneous():
     assert xy("x^5 - y*x*y").homogeneous_degree() == 5
     assert xy("y^2 - x*y*x").homogeneous_degree() == 4
