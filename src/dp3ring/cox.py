@@ -15,7 +15,6 @@ tuples compare lexicographically, which is the canonical display order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add
 
 from .picard import DivisorClass
@@ -108,9 +107,10 @@ def parse_monomial(text: str) -> tuple[int, ...]:
     """Parse the canonical rendering, e.g. "X^2*Y*s*u^2" or "1".
 
     An exponent is one or more ASCII digits; anything else after "^" is an
-    error, so a malformed rendering never parses.
+    error.  So is any text that `render_monomial` would not print for the
+    parsed monomial (variables out of order or repeated, "^0", "^1",
+    leading zeros), so exactly the canonical renderings parse.
     """
-    text = text.strip()
     if text == "1":
         return UNIT
     exps = [0] * 6
@@ -121,67 +121,11 @@ def parse_monomial(text: str) -> tuple[int, ...]:
         if caret and not (power.isascii() and power.isdigit()):
             raise ValueError(f"bad exponent {power!r} of {name}")
         exps[VARIABLES.index(name)] += int(power) if caret else 1
-    return tuple(exps)
-
-
-class CoxPoly:
-    """Commutative polynomial with exact rational coefficients, a map from
-    exponent vectors to nonzero Fractions."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict | None = None):
-        clean: dict[tuple[int, ...], Fraction] = {}
-        for mono, coeff in (terms or {}).items():
-            value = Fraction(coeff)
-            if value:
-                clean[mono] = value
-        self.terms = clean
-
-    def __mul__(self, other):
-        if not isinstance(other, CoxPoly):
-            return NotImplemented
-        out: dict[tuple[int, ...], Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                prod = monomial_product(m1, m2)
-                out[prod] = out.get(prod, Fraction(0)) + c1 * c2
-        return CoxPoly(out)
-
-    def rotate(self, times: int = 1) -> CoxPoly:
-        """Apply the cyclic variable rotation to every monomial."""
-        return CoxPoly({rotate_exponents(m, times): c for m, c in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, CoxPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        # canonical display order: lex on exponent vectors, largest first
-        for mono in sorted(self.terms, reverse=True):
-            coeff = self.terms[mono]
-            body = render_monomial(mono)
-            if coeff == 1:
-                pieces.append(body)
-            elif coeff == -1:
-                pieces.append(f"-{body}")
-            else:
-                pieces.append(f"{coeff}*{body}")
-        out = pieces[0]
-        for piece in pieces[1:]:
-            out += " - " + piece[1:] if piece.startswith("-") else " + " + piece
-        return out
-
-    def __repr__(self):
-        return f"<cox: {self.render()}>"
+    mono = tuple(exps)
+    canonical = render_monomial(mono)
+    if canonical != text:
+        raise ValueError(f"{text!r} is not the canonical rendering {canonical!r}")
+    return mono
 
 
 @dataclass(frozen=True)

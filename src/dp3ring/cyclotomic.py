@@ -51,12 +51,6 @@ class CycNum:
             return NotImplemented
         return CycNum(self.p - other.p, self.q - other.q)
 
-    def __rsub__(self, other):
-        other = CycNum._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
     def __neg__(self):
         return CycNum(-self.p, -self.q)
 
@@ -85,21 +79,6 @@ class CycNum:
         if other is None:
             return NotImplemented
         return self * other.inv()
-
-    def __rtruediv__(self, other):
-        other = CycNum._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inv()
-
-    def __pow__(self, k):
-        if not isinstance(k, int):
-            return NotImplemented
-        base = self if k >= 0 else self.inv()
-        out = CycNum(1)
-        for _ in range(abs(k)):
-            out = out * base
-        return out
 
     def __eq__(self, other):
         other = CycNum._coerce(other)
@@ -143,12 +122,3 @@ ONE = CycNum(1)
 ZETA = CycNum(0, 1)
 # primitive cube root of unity: omega = zeta^2 = zeta - 1
 OMEGA = CycNum(-1, 1)
-
-# zeta^k for k = 0..5; the powers repeat with period six
-_ZETA_POWERS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
-
-
-def zeta_pow(k: int) -> CycNum:
-    """zeta^k in canonical form, any integer k."""
-    p, q = _ZETA_POWERS[k % 6]
-    return CycNum(p, q)

@@ -273,7 +273,19 @@ def _render_term(coeff: CycNum, word: str, many_terms: bool) -> str:
 # atom   := variable | rational | 'zeta' | '(' expr ')'
 #
 # '*' is mandatory: juxtaposition is not multiplication, and the parser
-# never reorders operands.
+# never reorders operands.  Parentheses nest at most MAX_NESTING deep, so a
+# hostile input is a parse error, not a RecursionError.
+
+MAX_NESTING = 100
+
+
+def _literal(digits: str, pos: int) -> int:
+    """An integer literal; one too long for `int` is a parse error."""
+    try:
+        return int(digits)
+    except ValueError:
+        message = f"integer literal of {len(digits)} digits is too long"
+        raise ParseError(message, pos) from None
 
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
@@ -289,12 +301,12 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            num = int(text[i:j])
+            num = _literal(text[i:j], i)
             if j < n and text[j] == "/" and j + 1 < n and text[j + 1].isdigit():
                 k = j + 1
                 while k < n and text[k].isdigit():
                     k += 1
-                den = int(text[j + 1 : k])
+                den = _literal(text[j + 1 : k], j + 1)
                 if den == 0:
                     raise ParseError("zero denominator", i)
                 tokens.append(("num", Fraction(num, den), i))
@@ -324,6 +336,7 @@ class _Parser:
         self.tokens = tokens
         self.alphabet = alphabet
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -390,8 +403,12 @@ class _Parser:
                 return NcPoly.variable(self.alphabet, value)
             raise ParseError(f"unknown variable {value!r}", pos)
         if kind == "op" and value == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
+            self.depth += 1
             inner = self.parse_expr()
             self.expect_op(")")
+            self.depth -= 1
             return inner
         raise ParseError("expected a variable, number, 'zeta' or '('", pos)
 

@@ -7,6 +7,8 @@ the ordered words w^i z^j x^k.  These are a linear basis, so the normal form
 is unique: by Bergman's diamond lemma (Adv. Math. 29, 1978) it suffices that
 the one ambiguity of the rules, xzw, resolves and that the rules lower a
 semigroup order, which `tests/test_ore.py` checks from `REWRITE_RULES`.
+That table holds each rule coefficient as its Z[zeta] pair (p, q), meaning
+p + q*zeta.
 The same ring is generated by x (weight 1) and y = w + x^2 (weight 2)
 subject to x^5 = yxy and y^2 = xyx; `xy_to_pbw` converts from that
 presentation.
@@ -20,23 +22,14 @@ z).  The measure is asserted on every application.
 
 from __future__ import annotations
 
-from .cyclotomic import CycNum, ONE, ZETA
+from .cyclotomic import CycNum
 from .ncpoly import NcPoly, WZX, XY, AlphabetMismatchError
 
-# -zeta^2 = 1 - zeta
-_MINUS_ZETA_SQ = -(ZETA * ZETA)
-
-REWRITE_RULES: dict[str, tuple[tuple[CycNum, str], ...]] = {
-    "zw": ((ZETA, "wz"),),
-    "xw": ((_MINUS_ZETA_SQ, "wx"), (ONE, "z")),
-    "xz": ((ZETA, "zx"), (-ONE, "ww")),
-}
-
-# the same rules with each coefficient as its pair (p, q) = p + q*zeta; all
-# lie in Z[zeta], so the pairs are plain ints
-_PAIR_RULES: dict[str, tuple[tuple[tuple[int, int], str], ...]] = {
-    pair: tuple(((c.p, c.q), replacement) for c, replacement in rules)
-    for pair, rules in REWRITE_RULES.items()
+# the coefficient pair (p, q) means p + q*zeta; -zeta^2 = 1 - zeta
+REWRITE_RULES: dict[str, tuple[tuple[tuple[int, int], str], ...]] = {
+    "zw": (((0, 1), "wz"),),
+    "xw": (((1, -1), "wx"), ((1, 0), "z")),
+    "xz": (((0, 1), "zx"), ((-1, 0), "ww")),
 }
 
 
@@ -71,8 +64,8 @@ def normal_form(p: NcPoly) -> NcPoly:
     the same result, because the rules resolve their one ambiguity (the
     diamond-lemma test).
 
-    Each word of p is rewritten from coefficient 1.  Every rule coefficient
-    lies in Z[zeta], so the rewriting carries plain integer pairs (a, b)
+    Each word of p is rewritten from coefficient 1.  The rule coefficients
+    are Z[zeta] pairs, so the rewriting carries plain integer pairs (a, b)
     meaning a + b*zeta, and each resulting monomial is multiplied by the
     word's own coefficient once.
     """
@@ -90,7 +83,7 @@ def normal_form(p: NcPoly) -> NcPoly:
                 reached[word] = (a0 + a, b0 + b)
                 continue
             measure = termination_measure(word)
-            for (rp, rq), replacement in _PAIR_RULES[word[i : i + 2]]:
+            for (rp, rq), replacement in REWRITE_RULES[word[i : i + 2]]:
                 new_word = word[:i] + replacement + word[i + 2 :]
                 assert termination_measure(new_word) < measure
                 # (a + b*zeta)(rp + rq*zeta), then zeta^2 = zeta - 1

@@ -11,10 +11,10 @@ reproduces the whole low-degree dictionary below.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .cox import (
     UNIT,
-    CoxPoly,
     SectionSpace,
     enumerate_sections,
     monomial_product,
@@ -61,16 +61,19 @@ LOW_DEGREE_TABLE = (
 
 @dataclass(frozen=True)
 class GradedSection:
-    """A degree-n element: a rational polynomial supported in one multidegree."""
+    """A degree-n element: rational coefficients on section monomials of
+    one multidegree, a map from exponent vectors to nonzero Fractions."""
 
     n: int
-    poly: CoxPoly
+    terms: dict[tuple[int, ...], Fraction]
 
     def __post_init__(self):
+        clean = {mono: Fraction(coeff) for mono, coeff in self.terms.items() if coeff}
+        object.__setattr__(self, "terms", clean)
         if self.n < 0:
             raise ValueError("section degree must be non-negative")
         target = twist_divisor(self.n)
-        for mono in self.poly.terms:
+        for mono in clean:
             if multidegree(mono) != target:
                 raise ValueError(
                     f"monomial {render_monomial(mono)} breaks homogeneity: multidegree "
@@ -78,7 +81,23 @@ class GradedSection:
                 )
 
     def render(self) -> str:
-        return self.poly.render()
+        if not self.terms:
+            return "0"
+        pieces = []
+        # canonical display order: lex on exponent vectors, largest first
+        for mono in sorted(self.terms, reverse=True):
+            coeff = self.terms[mono]
+            body = render_monomial(mono)
+            if coeff == 1:
+                pieces.append(body)
+            elif coeff == -1:
+                pieces.append(f"-{body}")
+            else:
+                pieces.append(f"{coeff}*{body}")
+        out = pieces[0]
+        for piece in pieces[1:]:
+            out += " - " + piece[1:] if piece.startswith("-") else " + " + piece
+        return out
 
     def __str__(self):
         return self.render()
@@ -86,7 +105,13 @@ class GradedSection:
 
 def twisted_mul(a: GradedSection, b: GradedSection) -> GradedSection:
     """Product of a degree-m and a degree-n section: a times rot^m(b)."""
-    return GradedSection(a.n + b.n, a.poly * b.poly.rotate(a.n))
+    right = [(rotate_exponents(mono, a.n), coeff) for mono, coeff in b.terms.items()]
+    out: dict[tuple[int, ...], Fraction] = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in right:
+            prod = monomial_product(m1, m2)
+            out[prod] = out.get(prod, 0) + c1 * c2
+    return GradedSection(a.n + b.n, out)
 
 
 def twist_basis(n: int) -> SectionSpace:
@@ -164,7 +189,7 @@ def section_from_xy(p: NcPoly) -> GradedSection:
             raise ValueError("twisted-ring sections carry rational coefficients")
         image = word_image(word)
         terms[image] = terms.get(image, 0) + coeff.p
-    return GradedSection(degree, CoxPoly(terms))
+    return GradedSection(degree, terms)
 
 
 def _cover(n: int, k: int) -> set[tuple[int, ...]]:

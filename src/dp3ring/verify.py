@@ -43,11 +43,16 @@ NOT_MACHINE_CHECKABLE = (
 
 @dataclass
 class CheckResult:
+    """A check passes iff it carries no witness of failure."""
+
     name: str
-    passed: bool
     detail: str
     witness: str | None = None
     elapsed: float = 0.0
+
+    @property
+    def passed(self) -> bool:
+        return self.witness is None
 
 
 @dataclass
@@ -144,7 +149,6 @@ def check_defining_relations() -> CheckResult:
             problems.append(f"{word} maps to {image}, not {expected}")
     return CheckResult(
         "defining_relations",
-        not problems,
         f"relations, centrality of x^6 and all {len(thcr.LOW_DEGREE_TABLE)} "
         "dictionary entries",
         "; ".join(problems) or None,
@@ -162,7 +166,6 @@ def check_graded_isomorphism(max_degree: int) -> CheckResult:
         if count != fib[n]:
             return CheckResult(
                 "graded_isomorphism",
-                False,
                 f"degrees 0..{max_degree}",
                 f"word enumerator produced {count} words of degree {n}, expected {fib[n]}",
             )
@@ -171,7 +174,6 @@ def check_graded_isomorphism(max_degree: int) -> CheckResult:
         if dim != len(basis) or images != basis:
             return CheckResult(
                 "graded_isomorphism",
-                False,
                 f"degrees 0..{max_degree}",
                 f"degree {n}: basis dim {dim}, section dim {len(basis)}, "
                 f"image set {'equal' if images == basis else 'different'}",
@@ -179,7 +181,6 @@ def check_graded_isomorphism(max_degree: int) -> CheckResult:
         dims.append(dim)
     return CheckResult(
         "graded_isomorphism",
-        True,
         f"degrees 0..{max_degree}: dims {dims[:7]}... and image sets match",
     )
 
@@ -195,12 +196,11 @@ def check_hilbert_series(max_degree: int) -> CheckResult:
         first = next(n for n in range(max_degree + 1) if actual[n] != coeffs[n])
         return CheckResult(
             "hilbert_series",
-            False,
             f"degrees 0..{max_degree}",
             f"degree {first}: counted {actual[first]}, series says {coeffs[first]}",
         )
     return CheckResult(
-        "hilbert_series", True, f"coefficients 0..{max_degree} match the series"
+        "hilbert_series", f"coefficients 0..{max_degree} match the series"
     )
 
 
@@ -218,13 +218,11 @@ def check_dimension_match(max_degree: int) -> CheckResult:
         if len(set(values)) != 1:
             return CheckResult(
                 "dimension_match",
-                False,
                 f"degrees 0..{max_degree}",
                 f"degree {n}: basis/sections/formula/chi = {values}",
             )
     return CheckResult(
         "dimension_match",
-        True,
         f"degrees 0..{max_degree}: basis = sections = formula = chi",
     )
 
@@ -257,7 +255,6 @@ def check_cubic_veronese() -> CheckResult:
         problems.append(f"dims: degree six {len(basis6)}, degree three {dim3}")
     return CheckResult(
         "cubic_veronese",
-        not problems,
         "9 products span a 7-dim space; relation plane has dimension 2",
         "; ".join(problems) or None,
     )
@@ -276,13 +273,12 @@ def check_anticanonical_cone(max_degree: int) -> CheckResult:
         if len(set(values)) != 1:
             return CheckResult(
                 "anticanonical_cone",
-                False,
                 f"multiples 0..{max_degree // 6}",
                 f"n={n}: basis/sections/formula = {values}",
             )
         seen.append(values[0])
     return CheckResult(
-        "anticanonical_cone", True, f"multiples 0..{max_degree // 6}: values {seen}"
+        "anticanonical_cone", f"multiples 0..{max_degree // 6}: values {seen}"
     )
 
 
@@ -296,14 +292,12 @@ def check_generation(max_degree: int) -> CheckResult:
         if not thcr.check_generation(n):
             return CheckResult(
                 "generation",
-                False,
                 f"degrees 0..{max_degree - 2}",
                 f"degree {n + 2} not generated",
             )
         need_linear.append(n + 2)
     return CheckResult(
         "generation",
-        True,
         f"degrees 0..{max_degree - 2} generated; linear part needed only in "
         f"degrees {need_linear}",
     )
@@ -338,20 +332,17 @@ def check_generation_divisors() -> CheckResult:
             if listed != built:
                 return CheckResult(
                     "generation_divisor_table",
-                    False,
                     "6 row families, m up to 6",
                     f"r={r}, m={m}: table {listed} != constructed {built}",
                 )
             if not vanishing_criterion(listed):
                 return CheckResult(
                     "generation_divisor_table",
-                    False,
                     "6 row families, m up to 6",
                     f"r={r}, m={m}: vanishing criterion fails for {listed}",
                 )
     return CheckResult(
         "generation_divisor_table",
-        True,
         "6 row families verified for m up to 6 (ranges truncated there)",
     )
 
@@ -384,7 +375,6 @@ def check_hexagon() -> CheckResult:
             problems.append(f"pair {set(pair)} rotates out of the irrelevant locus")
     return CheckResult(
         "hexagon",
-        not problems,
         "cyclic tridiagonal intersection matrix; 9 irrelevant pairs permuted",
         "; ".join(problems) or None,
     )
@@ -414,7 +404,6 @@ def check_rotation_order() -> CheckResult:
         problems.append(f"K.K = {intersect(K, K)} != 6")
     return CheckResult(
         "rotation_order",
-        not problems,
         "sixth power is the identity; anticanonical class fixed; K.K = 6",
         "; ".join(problems) or None,
     )
@@ -430,12 +419,11 @@ def check_rotation_isometry() -> CheckResult:
             if before != after:
                 return CheckResult(
                     "rotation_isometry",
-                    False,
                     "16 unit-class pairs",
                     f"{left}.{right} = {before} but rotates to {after}",
                 )
     return CheckResult(
-        "rotation_isometry", True, "16 unit-class pairs preserved: M^T G M = G exactly"
+        "rotation_isometry", "16 unit-class pairs preserved: M^T G M = G exactly"
     )
 
 
@@ -445,11 +433,11 @@ def check_rotation_eigensystem() -> CheckResult:
         pairs = rotation_eigensystem()
     except ArithmeticError as exc:
         return CheckResult(
-            "rotation_eigensystem", False, "4 exact eigenpairs", str(exc)
+            "rotation_eigensystem", "4 exact eigenpairs", str(exc)
         )
     values = ", ".join(str(value) for _, value in pairs)
     return CheckResult(
-        "rotation_eigensystem", True, f"4 exact eigenpairs; eigenvalues {values}"
+        "rotation_eigensystem", f"4 exact eigenpairs; eigenvalues {values}"
     )
 
 
@@ -470,11 +458,10 @@ def check_twist_divisor_table() -> CheckResult:
         if twist_divisor(n) != DivisorClass(*coords):
             return CheckResult(
                 "twist_divisor_table",
-                False,
                 "twists 1..7",
                 f"twist {n} is {twist_divisor(n)}, expected {coords}",
             )
-    return CheckResult("twist_divisor_table", True, "twists 1..7 match the table")
+    return CheckResult("twist_divisor_table", "twists 1..7 match the table")
 
 
 def check_orbit_sum_identity(max_degree: int) -> CheckResult:
@@ -485,12 +472,11 @@ def check_orbit_sum_identity(max_degree: int) -> CheckResult:
         if twist_divisor(n) != twist_divisor(r) - m * K:
             return CheckResult(
                 "orbit_sum_identity",
-                False,
                 f"twists 0..{max_degree}",
                 f"twist {n} != twist {r} - {m}K",
             )
     return CheckResult(
-        "orbit_sum_identity", True, f"twists 0..{max_degree}: D(6m+r) = D(r) - mK"
+        "orbit_sum_identity", f"twists 0..{max_degree}: D(6m+r) = D(r) - mK"
     )
 
 
@@ -501,12 +487,11 @@ def check_euler_char_step(max_degree: int) -> CheckResult:
         if step != n + 6:
             return CheckResult(
                 "euler_char_step",
-                False,
                 f"degrees 0..{max_degree}",
                 f"degree {n}: chi step {step} != {n + 6}",
             )
     return CheckResult(
-        "euler_char_step", True, f"degrees 0..{max_degree}: chi(D(n+6)) - chi(D(n)) = n + 6"
+        "euler_char_step", f"degrees 0..{max_degree}: chi(D(n+6)) - chi(D(n)) = n + 6"
     )
 
 
@@ -527,7 +512,6 @@ def check_twist_ampleness(max_degree: int) -> CheckResult:
             break
     return CheckResult(
         "twist_ampleness",
-        not problems,
         f"D(n) - K ample for 2 <= n <= {max_degree}; twist 1 is the known exception",
         "; ".join(problems) or None,
     )
@@ -546,12 +530,11 @@ def check_ample_criterion_box() -> CheckResult:
                     if vanishing_criterion(div) != is_ample(div - K):
                         return CheckResult(
                             "ample_criterion_box",
-                            False,
                             f"{count} classes tested",
                             f"criterion and ampleness of D - K disagree at {div}",
                         )
     return CheckResult(
-        "ample_criterion_box", True, f"{count} classes in [-5,9]^4 agree"
+        "ample_criterion_box", f"{count} classes in [-5,9]^4 agree"
     )
 
 

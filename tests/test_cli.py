@@ -1,5 +1,7 @@
 """Command line behaviour: golden outputs, exit codes, json stability."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -46,6 +48,9 @@ def test_nf_parse_error_exits_2(capsys):
         ["nf", "x +"],
         ["nf", "1/0"],
         ["mul", "--ring", "B", "1/0", "x"],
+        ["nf", "--", "(" * 260 + "x" + ")" * 260],
+        ["nf", "--", "9" * 4301],
+        ["nf", "--", "x^" + "9" * 4301],
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
@@ -274,6 +279,48 @@ def test_verify_reaches_cap_forty(capsys):
     assert out.endswith("result: 17/17 checks passed\n")
 
 
+# argv of every call pinned in data/cli_b_side.txt: the B side of the CLI
+_MUL_B_CASES = (
+    ("x", "x"),
+    ("y", "y"),
+    ("1/2*x", "2/3*y"),
+    ("-x", "x"),
+    ("-3/4*y + x^2", "5*x"),
+    ("x^5 - y*x*y", "x"),
+    ("x^2 - y", "y*x"),
+    ("zeta*x", "x"),
+    ("x + y", "x"),
+    ("0", "x"),
+    ("x", "w"),
+)
+B_SIDE_ARGVS = (
+    [["basis", "--ring", "B", str(n)] for n in range(31)]
+    + [["basis", "--ring", "B", str(n), "--format", "json"] for n in range(31)]
+    + [["divisor", str(n)] for n in range(61)]
+    + [["mul", "--ring", "B", "--", lhs, rhs] for lhs, rhs in _MUL_B_CASES]
+    + [["mul", "--ring", "B", "--format", "json", "--", lhs, rhs] for lhs, rhs in _MUL_B_CASES]
+)
+
+
+def b_side_transcript() -> str:
+    """Exit code, stdout and stderr of every call in B_SIDE_ARGVS."""
+    blocks = []
+    for argv in B_SIDE_ARGVS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        blocks.append(
+            f"$ dp3ring {shlex.join(argv)}\nexit {code}\n"
+            f"--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
+        )
+    return "".join(blocks)
+
+
+def test_b_side_output_matches_golden_file():
+    # regenerate with `PYTHONPATH=src python tests/test_cli.py > tests/data/cli_b_side.txt`
+    assert b_side_transcript() == (DATA / "cli_b_side.txt").read_text()
+
+
 def test_closed_stdout_gives_no_traceback():
     # like `dp3ring verify | true`: the reader is gone before the report is
     # written; exit code 1 would claim a failed verification
@@ -303,3 +350,7 @@ def test_readme_examples_match_cli_output(capsys):
         code, out, _ = run_cli(capsys, *shlex.split(command))
         assert code == 0, command
         assert out == expected + "\n", command
+
+
+if __name__ == "__main__":
+    sys.stdout.write(b_side_transcript())

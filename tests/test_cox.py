@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dp3ring.cox import (
-    CoxPoly,
     IRRELEVANT_PAIRS,
     SectionSpace,
     UNIT,
@@ -25,7 +24,9 @@ from dp3ring.cox import (
     section_count,
     variable_monomial,
 )
+from dp3ring.ncpoly import XY, parse
 from dp3ring.picard import DivisorClass, MINUS_K, intersect, rotate_class, twist_divisor
+from dp3ring.thcr import GradedSection, section_from_xy, twisted_mul
 
 
 monomials = st.tuples(*[st.integers(0, 3) for _ in range(6)])
@@ -50,6 +51,12 @@ def test_multidegree_of_products():
 @pytest.mark.parametrize("text", ["X^", "X^+2", "X^ 2", "X^\u0663", "X^-1"])
 def test_parse_monomial_takes_only_ascii_digit_exponents(text):
     with pytest.raises(ValueError, match="bad exponent"):
+        parse_monomial(text)
+
+
+@pytest.mark.parametrize("text", ["Y*X", "X^1", "X^0*Y", "X*X", "X^01"])
+def test_parse_monomial_takes_only_canonical_renderings(text):
+    with pytest.raises(ValueError, match="is not the canonical rendering"):
         parse_monomial(text)
 
 
@@ -141,18 +148,24 @@ def test_rotation_of_variables():
 
 def test_rotation_of_monomials():
     assert rotate_exponents(parse_monomial("X")) == parse_monomial("u")
-    assert rotate_exponents(parse_monomial("Z*t")) == parse_monomial("s*Z")
+    assert rotate_exponents(parse_monomial("Z*t")) == parse_monomial("Z*s")
     assert rotate_exponents(parse_monomial("X^2*Y"), 2) == parse_monomial("Y^2*Z")
 
 
 def test_rotation_of_polynomials():
-    poly = CoxPoly(
-        {parse_monomial("X*u"): Fraction(1), parse_monomial("Z*t"): Fraction(-2)}
-    )
-    assert poly.rotate() == CoxPoly(
-        {parse_monomial("u*Y"): Fraction(1), parse_monomial("s*Z"): Fraction(-2)}
-    )
-    assert poly.rotate(6) == poly
+    # the twisted product rotates every term of its right factor by the left
+    # degree: once after x, a full period (no change) after x^6
+    right = GradedSection(2, {parse_monomial("X*u"): 1, parse_monomial("Z*t"): -2})
+    x = section_from_xy(parse("x", XY))
+    assert twisted_mul(x, right).terms == {
+        monomial_product(parse_monomial("X"), parse_monomial("Y*u")): 1,
+        monomial_product(parse_monomial("X"), parse_monomial("Z*s")): -2,
+    }
+    x6 = section_from_xy(parse("x^6", XY))
+    (x6_mono,) = x6.terms
+    assert twisted_mul(x6, right).terms == {
+        monomial_product(x6_mono, mono): coeff for mono, coeff in right.terms.items()
+    }
 
 
 def test_rendering_and_parsing():
@@ -167,10 +180,10 @@ def test_rendering_and_parsing():
 
 
 def test_poly_rendering():
-    poly = CoxPoly({parse_monomial("X*u"): 1, parse_monomial("Z*t"): 1})
-    assert poly.render() == "X*u + Z*t"
-    assert CoxPoly().render() == "0"
-    neg = CoxPoly({parse_monomial("Z*t"): Fraction(-3, 2)})
+    both = GradedSection(2, {parse_monomial("X*u"): 1, parse_monomial("Z*t"): 1})
+    assert both.render() == "X*u + Z*t"
+    assert GradedSection(2, {}).render() == "0"
+    neg = GradedSection(2, {parse_monomial("Z*t"): Fraction(-3, 2)})
     assert neg.render() == "-3/2*Z*t"
 
 

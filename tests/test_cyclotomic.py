@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from dp3ring.cyclotomic import CycNum, OMEGA, ONE, ZERO, ZETA, zeta_pow
+from dp3ring.cyclotomic import CycNum, OMEGA, ONE, ZERO, ZETA
 
 
 rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
@@ -60,43 +60,16 @@ def test_inverse_of_zero_raises():
         ZERO.inv()
 
 
-def test_zeta_pow_small_values():
-    assert zeta_pow(0) == ONE
-    assert zeta_pow(1) == ZETA
-    assert zeta_pow(3) == CycNum(-1)
-    assert zeta_pow(7) == zeta_pow(1)
-
-
-def test_zeta_pow_agrees_with_multiplication():
-    acc = ONE
-    for k in range(13):
-        assert zeta_pow(k) == acc
-        acc = acc * ZETA
-
-
-def test_zeta_pow_negative_exponents():
-    assert zeta_pow(-1) == ZETA.inv()
-    assert zeta_pow(-7) == zeta_pow(-1)
-
-
-def test_integer_power_operator():
-    assert ZETA**6 == ONE
-    assert ZETA**-2 == (ZETA * ZETA).inv()
-    assert CycNum(3) ** 0 == ONE
-
-
 def test_division():
     a = CycNum(1, 2)
     b = CycNum(Fraction(1, 3), -1)
     assert (a / b) * b == a
-    assert 1 / ZETA == ZETA.inv()
 
 
 def test_mixed_arithmetic_with_ints_and_fractions():
     assert ZETA + 1 == CycNum(1, 1)
     assert 2 * ZETA == CycNum(0, 2)
     assert ZETA - Fraction(1, 2) == CycNum(Fraction(-1, 2), 1)
-    assert Fraction(1, 2) - ZETA == CycNum(Fraction(1, 2), -1)
 
 
 def test_integral_parts_are_plain_ints():
@@ -110,7 +83,7 @@ def test_integral_parts_are_plain_ints():
 def test_division_and_negative_powers_stay_exact():
     values = [CycNum(2), CycNum(1, 2), CycNum(3, -1), ZETA, CycNum(Fraction(1, 3), -1)]
     for a in values:
-        for result in (a.inv(), 1 / a, a / CycNum(7, 2), a**-3, CycNum(5) / a):
+        for result in (a.inv(), a / CycNum(7, 2), CycNum(5) / a):
             assert type(result.p) in (int, Fraction), result
             assert type(result.q) in (int, Fraction), result
     assert CycNum(2).inv().p == Fraction(1, 2)
@@ -142,11 +115,6 @@ def test_rendering():
     assert str(CycNum(0, Fraction(3, 2))) == "3/2*zeta"
     assert str(CycNum(Fraction(1, 2), 3)) == "1/2 + 3*zeta"
     assert str(CycNum(2, Fraction(-5, 3))) == "2 - 5/3*zeta"
-
-
-@given(k=st.integers(-50, 50))
-def test_zeta_pow_period_six(k):
-    assert zeta_pow(k + 6) == zeta_pow(k)
 
 
 @given(a=cycnums, b=cycnums, c=cycnums)

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from dp3ring.cyclotomic import CycNum, ZETA
 from dp3ring.ncpoly import (
     AlphabetMismatchError,
+    MAX_NESTING,
     NcPoly,
     ParseError,
     WZX,
@@ -124,6 +125,14 @@ def test_parse_trailing_input():
 def test_parse_fractional_exponent_rejected():
     with pytest.raises(ParseError):
         xy("x^1/2")
+
+
+def test_parse_limits_parenthesis_nesting():
+    deepest = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert parse(deepest, XY) == NcPoly.variable(XY, "x")
+    with pytest.raises(ParseError) as info:
+        parse("(" + deepest + ")", XY)
+    assert info.value.pos == MAX_NESTING
 
 
 def test_parse_unexpected_character():

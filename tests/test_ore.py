@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dp3ring import ore
-from dp3ring.cyclotomic import CycNum, ONE, ZETA
+from dp3ring.cyclotomic import CycNum, ZETA
 from dp3ring.ncpoly import (
     NcPoly,
     WZX,
@@ -129,9 +129,9 @@ def ambiguities(keys):
 def reduce_once(word, i, key):
     """The word with its leading word `key` at position i rewritten once."""
     out = NcPoly.zero(WZX)
-    for coeff, replacement in ore.REWRITE_RULES[key]:
+    for pair, replacement in ore.REWRITE_RULES[key]:
         reduced = word[:i] + replacement + word[i + len(key) :]
-        out = out + NcPoly.term(WZX, reduced, coeff)
+        out = out + NcPoly.term(WZX, reduced, CycNum(*pair))
     return out
 
 
@@ -162,9 +162,8 @@ def test_every_ambiguity_resolves():
 
 
 def test_diamond_lemma_catches_a_wrong_rule(monkeypatch):
-    # zw -> wz without the zeta; normal_form reads the integer pairs
-    monkeypatch.setitem(ore.REWRITE_RULES, "zw", ((ONE, "wz"),))
-    monkeypatch.setitem(ore._PAIR_RULES, "zw", (((1, 0), "wz"),))
+    # zw -> wz without the zeta
+    monkeypatch.setitem(ore.REWRITE_RULES, "zw", (((1, 0), "wz"),))
     assert unresolved_ambiguities() == ["xzw"]
 
 
