@@ -13,7 +13,7 @@ import signal
 import sys
 
 from . import cox, ore, thcr, verify
-from .ncpoly import ALPHABETS, ParseError, parse, render_word
+from .ncpoly import ALPHABETS, parse, render_word
 from .picard import DivisorClass, K, chi, h0_formula, is_ample, twist_divisor
 
 
@@ -24,9 +24,9 @@ def _nonneg(text: str) -> int:
     return value
 
 
-def _emit(args, command: str, inputs: dict, result, text: str) -> None:
+def _emit(args, inputs: dict, result, text: str) -> None:
     if args.format == "json":
-        payload = {"command": command, "inputs": inputs, "result": result}
+        payload = {"command": args.command, "inputs": inputs, "result": result}
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         print(text)
@@ -42,7 +42,6 @@ def _cmd_nf(args) -> int:
     rendered = _reduce(poly, args.alphabet).render()
     _emit(
         args,
-        "nf",
         {"expression": args.expression, "alphabet": args.alphabet},
         rendered,
         rendered,
@@ -61,7 +60,6 @@ def _cmd_divisor(args) -> int:
     text = f"{div} chi={euler} h0={h0_text} ample(D-K)={'true' if ample else 'false'}"
     _emit(
         args,
-        "divisor",
         {"n": args.n},
         {
             "class": str(div),
@@ -80,7 +78,6 @@ def _cmd_h0(args) -> int:
     count = cox.section_count(div)
     _emit(
         args,
-        "h0",
         {"a": args.a, "b": args.b, "c": args.c, "d": args.d},
         count,
         str(count),
@@ -95,7 +92,6 @@ def _cmd_basis(args) -> int:
         rendered = [cox.render_monomial(m) for m in thcr.twist_basis(args.n).basis]
     _emit(
         args,
-        "basis",
         {"ring": args.ring, "n": args.n},
         rendered,
         ", ".join(rendered),
@@ -111,14 +107,10 @@ def _cmd_mul(args) -> int:
         product = parse(args.lhs, alphabet) * parse(args.rhs, alphabet)
         rendered = _reduce(product, args.alphabet).render()
     else:
-        try:
-            left = thcr.section_from_xy(parse(args.lhs, ALPHABETS["xy"]))
-            right = thcr.section_from_xy(parse(args.rhs, ALPHABETS["xy"]))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        left = thcr.section_from_xy(parse(args.lhs, ALPHABETS["xy"]))
+        right = thcr.section_from_xy(parse(args.rhs, ALPHABETS["xy"]))
         rendered = thcr.twisted_mul(left, right).render()
-    _emit(args, "mul", inputs, rendered, rendered)
+    _emit(args, inputs, rendered, rendered)
     return 0
 
 
@@ -126,7 +118,6 @@ def _cmd_hilbert(args) -> int:
     coeffs = ore.hilbert_coeffs(args.max_degree)
     _emit(
         args,
-        "hilbert",
         {"max_degree": args.max_degree},
         coeffs,
         ", ".join(str(c) for c in coeffs),
@@ -139,16 +130,12 @@ def _cmd_verify(args) -> int:
         print("error: --max-degree must be at least 6", file=sys.stderr)
         return 2
     report = verify.run_all(args.max_degree)
-    if args.format == "json":
-        _emit(
-            args,
-            "verify",
-            {"max_degree": args.max_degree},
-            report.to_dict(include_timing=args.timings),
-            "",
-        )
-    else:
-        print(report.to_text(include_timing=args.timings))
+    _emit(
+        args,
+        {"max_degree": args.max_degree},
+        report.to_dict(include_timing=args.timings),
+        report.to_text(include_timing=args.timings),
+    )
     return 0 if report.all_passed else 1
 
 
@@ -213,10 +200,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  A ValueError, a ParseError among them, is a usage
+    error: bad input, or a result integer past Python's 4,300-digit limit on
+    int-to-string conversion."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,13 +5,16 @@ section side runs here: graded dimensions, the degree-by-degree
 isomorphism, lattice structure, ampleness equivalences, generation, and
 the cubic Veronese relations.  Each check reports pass or fail with a
 witness on failure; properties with no finite certificate are listed
-explicitly instead of being claimed.
+explicitly instead of being claimed.  A check is written as `check_<name>`
+returning (detail, problems); the `_check` decorator names, judges and
+times it.
 """
 
 from __future__ import annotations
 
+import functools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import cox, ore, thcr
 from .cyclotomic import CycNum
@@ -58,8 +61,8 @@ class CheckResult:
 @dataclass
 class VerificationReport:
     max_degree: int
-    checks: list[CheckResult] = field(default_factory=list)
-    not_machine_checkable: tuple[str, ...] = NOT_MACHINE_CHECKABLE
+    checks: list[CheckResult]
+    not_machine_checkable = NOT_MACHINE_CHECKABLE
 
     @property
     def all_passed(self) -> bool:
@@ -130,7 +133,24 @@ def matrix_rank(rows: list[list[CycNum]]) -> int:
 # -- individual checks -----------------------------------------------------------
 
 
-def check_defining_relations() -> CheckResult:
+def _check(fn):
+    """Turn `check_<name>`, which returns (detail, problems), into a check
+    that returns the timed CheckResult named <name>: it fails iff problems is
+    non-empty, with the problems joined into its witness."""
+    name = fn.__name__.removeprefix("check_")
+
+    @functools.wraps(fn)
+    def run(*args) -> CheckResult:
+        start = time.perf_counter()
+        detail, problems = fn(*args)
+        witness = "; ".join(problems) if problems else None
+        return CheckResult(name, detail, witness, time.perf_counter() - start)
+
+    return run
+
+
+@_check
+def check_defining_relations():
     """The defining relations vanish in normal form, the same identities
     hold between section images, x^6 is central, and the whole low-degree
     dictionary reproduces."""
@@ -147,45 +167,40 @@ def check_defining_relations() -> CheckResult:
         if thcr.word_image(word) != cox.parse_monomial(expected):
             image = cox.render_monomial(thcr.word_image(word))
             problems.append(f"{word} maps to {image}, not {expected}")
-    return CheckResult(
-        "defining_relations",
+    detail = (
         f"relations, centrality of x^6 and all {len(thcr.LOW_DEGREE_TABLE)} "
-        "dictionary entries",
-        "; ".join(problems) or None,
+        "dictionary entries"
     )
+    return detail, problems
 
 
-def check_graded_isomorphism(max_degree: int) -> CheckResult:
+@_check
+def check_graded_isomorphism(max_degree: int):
     """In each degree the basis count matches the section count and the word
     images cover the monomial basis exactly."""
+    scope = f"degrees 0..{max_degree}"
     dims = []
     fib = [1, 1]
     while len(fib) <= max_degree:
         fib.append(fib[-1] + fib[-2])
     for n, (count, images) in enumerate(thcr.word_image_levels(max_degree)):
         if count != fib[n]:
-            return CheckResult(
-                "graded_isomorphism",
-                f"degrees 0..{max_degree}",
-                f"word enumerator produced {count} words of degree {n}, expected {fib[n]}",
-            )
+            return scope, [
+                f"word enumerator produced {count} words of degree {n}, expected {fib[n]}"
+            ]
         basis = set(thcr.twist_basis(n).basis)
         dim = len(ore.pbw_basis(n))
         if dim != len(basis) or images != basis:
-            return CheckResult(
-                "graded_isomorphism",
-                f"degrees 0..{max_degree}",
+            return scope, [
                 f"degree {n}: basis dim {dim}, section dim {len(basis)}, "
-                f"image set {'equal' if images == basis else 'different'}",
-            )
+                f"image set {'equal' if images == basis else 'different'}"
+            ]
         dims.append(dim)
-    return CheckResult(
-        "graded_isomorphism",
-        f"degrees 0..{max_degree}: dims {dims[:7]}... and image sets match",
-    )
+    return f"{scope}: dims {dims[:7]}... and image sets match", []
 
 
-def check_hilbert_series(max_degree: int) -> CheckResult:
+@_check
+def check_hilbert_series(max_degree: int):
     """Basis counts agree with the series 1/((1-t)(1-t^2)(1-t^3))."""
     coeffs = [1] + [0] * max_degree
     for step in (1, 2, 3):
@@ -194,19 +209,17 @@ def check_hilbert_series(max_degree: int) -> CheckResult:
     actual = ore.hilbert_coeffs(max_degree)
     if actual != coeffs:
         first = next(n for n in range(max_degree + 1) if actual[n] != coeffs[n])
-        return CheckResult(
-            "hilbert_series",
-            f"degrees 0..{max_degree}",
-            f"degree {first}: counted {actual[first]}, series says {coeffs[first]}",
-        )
-    return CheckResult(
-        "hilbert_series", f"coefficients 0..{max_degree} match the series"
-    )
+        return f"degrees 0..{max_degree}", [
+            f"degree {first}: counted {actual[first]}, series says {coeffs[first]}"
+        ]
+    return f"coefficients 0..{max_degree} match the series", []
 
 
-def check_dimension_match(max_degree: int) -> CheckResult:
+@_check
+def check_dimension_match(max_degree: int):
     """Basis count, section count, closed form and Euler characteristic all
     agree in every degree."""
+    scope = f"degrees 0..{max_degree}"
     for n in range(max_degree + 1):
         div = twist_divisor(n)
         values = (
@@ -216,18 +229,12 @@ def check_dimension_match(max_degree: int) -> CheckResult:
             chi(div),
         )
         if len(set(values)) != 1:
-            return CheckResult(
-                "dimension_match",
-                f"degrees 0..{max_degree}",
-                f"degree {n}: basis/sections/formula/chi = {values}",
-            )
-    return CheckResult(
-        "dimension_match",
-        f"degrees 0..{max_degree}: basis = sections = formula = chi",
-    )
+            return scope, [f"degree {n}: basis/sections/formula/chi = {values}"]
+    return f"{scope}: basis = sections = formula = chi", []
 
 
-def check_cubic_veronese() -> CheckResult:
+@_check
+def check_cubic_veronese():
     """Among x^3, xy, yx the quadratic relations form exactly a plane:
     (x^3)^2 = (xy)^2 = (yx)^2, and dim of degree six is 9 - 2."""
     gens = [parse(text, XY) for text in ("x^3", "x*y", "y*x")]
@@ -253,16 +260,14 @@ def check_cubic_veronese() -> CheckResult:
     dim3 = len(ore.pbw_basis(3))
     if not (len(basis6) == 7 and dim3 == 3 and len(basis6) == dim3 * dim3 - 2):
         problems.append(f"dims: degree six {len(basis6)}, degree three {dim3}")
-    return CheckResult(
-        "cubic_veronese",
-        "9 products span a 7-dim space; relation plane has dimension 2",
-        "; ".join(problems) or None,
-    )
+    return "9 products span a 7-dim space; relation plane has dimension 2", problems
 
 
-def check_anticanonical_cone(max_degree: int) -> CheckResult:
+@_check
+def check_anticanonical_cone(max_degree: int):
     """Degrees divisible by six match the section counts of multiples of the
     anticanonical class, with values 3n^2 + 3n + 1."""
+    scope = f"multiples 0..{max_degree // 6}"
     seen = []
     for n in range(max_degree // 6 + 1):
         values = (
@@ -271,36 +276,24 @@ def check_anticanonical_cone(max_degree: int) -> CheckResult:
             3 * n * n + 3 * n + 1,
         )
         if len(set(values)) != 1:
-            return CheckResult(
-                "anticanonical_cone",
-                f"multiples 0..{max_degree // 6}",
-                f"n={n}: basis/sections/formula = {values}",
-            )
+            return scope, [f"n={n}: basis/sections/formula = {values}"]
         seen.append(values[0])
-    return CheckResult(
-        "anticanonical_cone", f"multiples 0..{max_degree // 6}: values {seen}"
-    )
+    return f"{scope}: values {seen}", []
 
 
-def check_generation(max_degree: int) -> CheckResult:
+@_check
+def check_generation(max_degree: int):
     """Every degree is covered by twisted products with degree-1 and degree-2
     monomials; the quadratic part alone suffices except in degree three."""
+    scope = f"degrees 0..{max_degree - 2}"
     need_linear = []
     for n in range(max_degree - 1):
         if thcr.degree_two_covers(n):
             continue
         if not thcr.check_generation(n):
-            return CheckResult(
-                "generation",
-                f"degrees 0..{max_degree - 2}",
-                f"degree {n + 2} not generated",
-            )
+            return scope, [f"degree {n + 2} not generated"]
         need_linear.append(n + 2)
-    return CheckResult(
-        "generation",
-        f"degrees 0..{max_degree - 2} generated; linear part needed only in "
-        f"degrees {need_linear}",
-    )
+    return f"{scope} generated; linear part needed only in degrees {need_linear}", []
 
 
 # rows of the surjectivity-step divisor table: (residue, first multiple,
@@ -317,37 +310,29 @@ _GENERATION_TABLE = (
 GENERATION_TABLE_MAX_M = 6
 
 
-def check_generation_divisors() -> CheckResult:
+@_check
+def check_generation_divisor_table():
     """The divisor table driving the surjectivity argument is reproduced by
     D_r - 2*D_2 - (m+1)*K and satisfies the vanishing criterion rowwise.
 
     The unbounded ranges are truncated at m = 6 (recorded here); the
     induction beyond that is a sum-of-amples argument, not a finite check.
     """
+    scope = "6 row families, m up to 6"
     two_d2 = 2 * twist_divisor(2)
     for r, first_m, formula in _GENERATION_TABLE:
         for m in range(first_m, GENERATION_TABLE_MAX_M + 1):
             listed = DivisorClass(*formula(m))
             built = twist_divisor(r) - two_d2 - (m + 1) * K
             if listed != built:
-                return CheckResult(
-                    "generation_divisor_table",
-                    "6 row families, m up to 6",
-                    f"r={r}, m={m}: table {listed} != constructed {built}",
-                )
+                return scope, [f"r={r}, m={m}: table {listed} != constructed {built}"]
             if not vanishing_criterion(listed):
-                return CheckResult(
-                    "generation_divisor_table",
-                    "6 row families, m up to 6",
-                    f"r={r}, m={m}: vanishing criterion fails for {listed}",
-                )
-    return CheckResult(
-        "generation_divisor_table",
-        "6 row families verified for m up to 6 (ranges truncated there)",
-    )
+                return scope, [f"r={r}, m={m}: vanishing criterion fails for {listed}"]
+    return "6 row families verified for m up to 6 (ranges truncated there)", []
 
 
-def check_hexagon() -> CheckResult:
+@_check
+def check_hexagon():
     """The six variable weights intersect as a hexagon (cyclic tridiagonal
     matrix), rotation of variables matches rotation of classes, and the nine
     irrelevant pairs are permuted."""
@@ -373,11 +358,7 @@ def check_hexagon() -> CheckResult:
         image = frozenset(cox.rotate_variable(v) for v in pair)
         if image not in pair_set:
             problems.append(f"pair {set(pair)} rotates out of the irrelevant locus")
-    return CheckResult(
-        "hexagon",
-        "cyclic tridiagonal intersection matrix; 9 irrelevant pairs permuted",
-        "; ".join(problems) or None,
-    )
+    return "cyclic tridiagonal intersection matrix; 9 irrelevant pairs permuted", problems
 
 
 # the standard basis of the lattice: a linear or bilinear identity holds on
@@ -390,7 +371,8 @@ _UNIT_CLASSES = (
 )
 
 
-def check_rotation_order() -> CheckResult:
+@_check
+def check_rotation_order():
     """The lattice rotation has order six, fixes the anticanonical class,
     and K.K = 6."""
     problems = []
@@ -402,43 +384,33 @@ def check_rotation_order() -> CheckResult:
         problems.append("anticanonical class is not fixed")
     if intersect(K, K) != 6:
         problems.append(f"K.K = {intersect(K, K)} != 6")
-    return CheckResult(
-        "rotation_order",
-        "sixth power is the identity; anticanonical class fixed; K.K = 6",
-        "; ".join(problems) or None,
-    )
+    return "sixth power is the identity; anticanonical class fixed; K.K = 6", problems
 
 
-def check_rotation_isometry() -> CheckResult:
+@_check
+def check_rotation_isometry():
     """The rotation preserves the intersection form on all 16 pairs of unit
     classes; by bilinearity that is exactly M^T G M = G."""
+    scope = "16 unit-class pairs"
     for left in _UNIT_CLASSES:
         for right in _UNIT_CLASSES:
             before = intersect(left, right)
             after = intersect(rotate_class(left), rotate_class(right))
             if before != after:
-                return CheckResult(
-                    "rotation_isometry",
-                    "16 unit-class pairs",
-                    f"{left}.{right} = {before} but rotates to {after}",
-                )
-    return CheckResult(
-        "rotation_isometry", "16 unit-class pairs preserved: M^T G M = G exactly"
-    )
+                return scope, [f"{left}.{right} = {before} but rotates to {after}"]
+    return f"{scope} preserved: M^T G M = G exactly", []
 
 
-def check_rotation_eigensystem() -> CheckResult:
+@_check
+def check_rotation_eigensystem():
     """The four exact eigenpairs over Q(zeta) verify."""
+    scope = "4 exact eigenpairs"
     try:
         pairs = rotation_eigensystem()
     except ArithmeticError as exc:
-        return CheckResult(
-            "rotation_eigensystem", "4 exact eigenpairs", str(exc)
-        )
+        return scope, [str(exc)]
     values = ", ".join(str(value) for _, value in pairs)
-    return CheckResult(
-        "rotation_eigensystem", f"4 exact eigenpairs; eigenvalues {values}"
-    )
+    return f"{scope}; eigenvalues {values}", []
 
 
 _TWIST_TABLE = {
@@ -452,50 +424,41 @@ _TWIST_TABLE = {
 }
 
 
-def check_twist_divisor_table() -> CheckResult:
+@_check
+def check_twist_divisor_table():
     """The first seven twist divisors take their tabulated values."""
+    scope = "twists 1..7"
     for n, coords in _TWIST_TABLE.items():
         if twist_divisor(n) != DivisorClass(*coords):
-            return CheckResult(
-                "twist_divisor_table",
-                "twists 1..7",
-                f"twist {n} is {twist_divisor(n)}, expected {coords}",
-            )
-    return CheckResult("twist_divisor_table", "twists 1..7 match the table")
+            return scope, [f"twist {n} is {twist_divisor(n)}, expected {coords}"]
+    return f"{scope} match the table", []
 
 
-def check_orbit_sum_identity(max_degree: int) -> CheckResult:
+@_check
+def check_orbit_sum_identity(max_degree: int):
     """Twist divisors repeat modulo six up to anticanonical shifts:
     D(6m+r) = D(r) - m*K."""
+    scope = f"twists 0..{max_degree}"
     for n in range(max_degree + 1):
         m, r = divmod(n, 6)
         if twist_divisor(n) != twist_divisor(r) - m * K:
-            return CheckResult(
-                "orbit_sum_identity",
-                f"twists 0..{max_degree}",
-                f"twist {n} != twist {r} - {m}K",
-            )
-    return CheckResult(
-        "orbit_sum_identity", f"twists 0..{max_degree}: D(6m+r) = D(r) - mK"
-    )
+            return scope, [f"twist {n} != twist {r} - {m}K"]
+    return f"{scope}: D(6m+r) = D(r) - mK", []
 
 
-def check_euler_char_step(max_degree: int) -> CheckResult:
+@_check
+def check_euler_char_step(max_degree: int):
     """chi grows by n + 6 across a full rotation period."""
+    scope = f"degrees 0..{max_degree}"
     for n in range(max_degree + 1):
         step = chi(twist_divisor(n + 6)) - chi(twist_divisor(n))
         if step != n + 6:
-            return CheckResult(
-                "euler_char_step",
-                f"degrees 0..{max_degree}",
-                f"degree {n}: chi step {step} != {n + 6}",
-            )
-    return CheckResult(
-        "euler_char_step", f"degrees 0..{max_degree}: chi(D(n+6)) - chi(D(n)) = n + 6"
-    )
+            return scope, [f"degree {n}: chi step {step} != {n + 6}"]
+    return f"{scope}: chi(D(n+6)) - chi(D(n)) = n + 6", []
 
 
-def check_twist_ampleness(max_degree: int) -> CheckResult:
+@_check
+def check_twist_ampleness(max_degree: int):
     """D(n) - K is ample for every n >= 2 up to the cap; the vanishing
     criterion holds for twists 0, 2..7 and fails exactly at twist 1."""
     problems = []
@@ -510,14 +473,12 @@ def check_twist_ampleness(max_degree: int) -> CheckResult:
         if not is_ample(twist_divisor(n) - K):
             problems.append(f"D({n}) - K is not ample")
             break
-    return CheckResult(
-        "twist_ampleness",
-        f"D(n) - K ample for 2 <= n <= {max_degree}; twist 1 is the known exception",
-        "; ".join(problems) or None,
-    )
+    detail = f"D(n) - K ample for 2 <= n <= {max_degree}; twist 1 is the known exception"
+    return detail, problems
 
 
-def check_ample_criterion_box() -> CheckResult:
+@_check
+def check_ample_criterion_box():
     """The coordinate vanishing criterion agrees with Nakai-Moishezon for
     D - K on the whole box [-5, 9]^4."""
     count = 0
@@ -528,14 +489,10 @@ def check_ample_criterion_box() -> CheckResult:
                     div = DivisorClass(a, b, c, d)
                     count += 1
                     if vanishing_criterion(div) != is_ample(div - K):
-                        return CheckResult(
-                            "ample_criterion_box",
-                            f"{count} classes tested",
-                            f"criterion and ampleness of D - K disagree at {div}",
-                        )
-    return CheckResult(
-        "ample_criterion_box", f"{count} classes in [-5,9]^4 agree"
-    )
+                        return f"{count} classes tested", [
+                            f"criterion and ampleness of D - K disagree at {div}"
+                        ]
+    return f"{count} classes in [-5,9]^4 agree", []
 
 
 def run_all(max_degree: int = 24) -> VerificationReport:
@@ -545,29 +502,25 @@ def run_all(max_degree: int = 24) -> VerificationReport:
     """
     if max_degree < 6:
         raise ValueError("max_degree must be at least 6")
-    plan = (
-        check_defining_relations,
-        lambda: check_graded_isomorphism(max_degree),
-        lambda: check_hilbert_series(max_degree),
-        lambda: check_dimension_match(max_degree),
-        check_cubic_veronese,
-        lambda: check_anticanonical_cone(max_degree),
-        lambda: check_generation(max_degree),
-        check_generation_divisors,
-        check_hexagon,
-        check_rotation_order,
-        check_rotation_isometry,
-        check_rotation_eigensystem,
-        check_twist_divisor_table,
-        lambda: check_orbit_sum_identity(max_degree),
-        lambda: check_euler_char_step(max_degree),
-        lambda: check_twist_ampleness(max_degree),
-        check_ample_criterion_box,
+    return VerificationReport(
+        max_degree,
+        [
+            check_defining_relations(),
+            check_graded_isomorphism(max_degree),
+            check_hilbert_series(max_degree),
+            check_dimension_match(max_degree),
+            check_cubic_veronese(),
+            check_anticanonical_cone(max_degree),
+            check_generation(max_degree),
+            check_generation_divisor_table(),
+            check_hexagon(),
+            check_rotation_order(),
+            check_rotation_isometry(),
+            check_rotation_eigensystem(),
+            check_twist_divisor_table(),
+            check_orbit_sum_identity(max_degree),
+            check_euler_char_step(max_degree),
+            check_twist_ampleness(max_degree),
+            check_ample_criterion_box(),
+        ],
     )
-    report = VerificationReport(max_degree=max_degree)
-    for step in plan:
-        start = time.perf_counter()
-        result = step()
-        result.elapsed = time.perf_counter() - start
-        report.checks.append(result)
-    return report

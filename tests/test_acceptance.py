@@ -119,7 +119,7 @@ def test_criterion_06_generation():
     for n in range(23):
         if not thcr.check_generation(n):
             problems.append(f"degree {n + 2} not generated")
-    check = verify.check_generation_divisors()
+    check = verify.check_generation_divisor_table()
     if not check.passed:
         problems.append(check.witness or "divisor table check failed")
     _report(6, "generation", problems)

@@ -59,6 +59,21 @@ def test_nf_parse_error_exits_2(capsys):
         assert "position" in err
 
 
+def test_oversized_result_integer_exits_2(capsys):
+    # each result holds an integer of more than 4,300 digits, Python's limit
+    # on converting an int to a string
+    for argv in (
+        ["nf", "--", "2^100000"],
+        ["mul", "--ring", "R", "--", "2^20000", "x"],
+        ["h0", "1" + "0" * 2200, "0", "0", "0"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "4300 digits" in err
+
+
 def test_nf_unknown_variable_exits_2(capsys):
     code, _, err = run_cli(capsys, "nf", "x * w")
     assert code == 2

@@ -1,12 +1,19 @@
 """The verification suite itself: aggregation, determinism, fault injection."""
 
+import contextlib
+import io
 import json
+import re
+import sys
+from pathlib import Path
 
 import pytest
 
+import dp3ring.cox as cox
 import dp3ring.ore as ore
 import dp3ring.picard as picard
 import dp3ring.thcr as thcr
+import dp3ring.verify as verify
 from dp3ring.cli import main
 from dp3ring.cyclotomic import CycNum, ZETA
 from dp3ring.ncpoly import NcPoly, WZX
@@ -15,7 +22,7 @@ from dp3ring.verify import (
     check_ample_criterion_box,
     check_cubic_veronese,
     check_defining_relations,
-    check_generation_divisors,
+    check_generation_divisor_table,
     check_hexagon,
     check_rotation_eigensystem,
     check_rotation_isometry,
@@ -126,7 +133,7 @@ def test_individual_checks_pass():
     for check in (
         check_defining_relations(),
         check_cubic_veronese(),
-        check_generation_divisors(),
+        check_generation_divisor_table(),
         check_hexagon(),
         check_rotation_isometry(),
         check_rotation_eigensystem(),
@@ -169,3 +176,89 @@ def test_iso_degree_thirteen_counts():
     assert count == 377
     assert len(images) == 21
     assert len(ore.pbw_basis(13)) == 21
+
+
+# -- pinned failure reports ------------------------------------------------------
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def _rotation(mp):
+    # the last row of the hexagon rotation with its final entry off by one
+    mp.setattr(picard, "ROTATION", ((2, -1, -1, -1), (1, -1, -1, 0), (1, 0, -1, -1), (1, -1, 0, 0)))
+
+
+def _dictionary_and_first_twist(mp):
+    bad_entry = (("yxxy", "Y^2*Z*t*u"),)
+    mp.setattr(thcr, "LOW_DEGREE_TABLE", thcr.LOW_DEGREE_TABLE[:-1] + bad_entry)
+    mp.setattr(picard, "FIRST_TWIST", picard.DivisorClass(1, 0, 1, 1))
+
+
+def _word_count(mp):
+    real = thcr.word_image_levels
+
+    def one_word_too_many_in_degree_nine(max_degree):
+        for n, (count, images) in enumerate(real(max_degree)):
+            yield count + (n == 9), images
+
+    mp.setattr(thcr, "word_image_levels", one_word_too_many_in_degree_nine)
+
+
+def _counts(mp):
+    hilbert, sections = ore.hilbert_coeffs, cox.section_count
+    mp.setattr(ore, "hilbert_coeffs", lambda cap: [c + (n >= 10) for n, c in enumerate(hilbert(cap))])
+    mp.setattr(cox, "section_count", lambda div: sections(div) + (div.a >= 6))
+
+
+def _normal_form(mp):
+    real = ore.xy_to_pbw
+    mp.setattr(ore, "xy_to_pbw", lambda p: real(p) + NcPoly.term(WZX, "xw"))
+
+
+def _vanishing_criterion(mp):
+    real = verify.vanishing_criterion
+    mp.setattr(verify, "vanishing_criterion", lambda div: real(div) and div.a < 4)
+
+
+# every check fails in at least one of these, each check's witness branches
+# included (graded_isomorphism's word count among them)
+FAULTS = (
+    _rotation,
+    _dictionary_and_first_twist,
+    _word_count,
+    _counts,
+    _normal_form,
+    _vanishing_criterion,
+)
+
+
+def fault_transcript() -> str:
+    """Exit code, stdout and stderr of `verify --max-degree 12`, text and
+    json, under each fault in FAULTS."""
+    blocks = []
+    for fault in FAULTS:
+        for fmt in ("text", "json"):
+            argv = ["verify", "--max-degree", "12", "--format", fmt]
+            out, err = io.StringIO(), io.StringIO()
+            with pytest.MonkeyPatch.context() as mp:
+                fault(mp)
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+            blocks.append(
+                f"$ dp3ring {' '.join(argv)}  # fault: {fault.__name__[1:]}\n"
+                f"exit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
+            )
+    return "".join(blocks)
+
+
+def test_failure_reports_match_golden_file():
+    # regenerate with `PYTHONPATH=src python tests/test_verify.py > tests/data/verify_12_faults.txt`
+    transcript = fault_transcript()
+    assert transcript == (DATA / "verify_12_faults.txt").read_text()
+    failed = set(re.findall(r"^  FAIL (\w+):", transcript, re.M))
+    assert failed == set(EXPECTED_CHECK_NAMES)
+    assert "word enumerator produced" in transcript
+
+
+if __name__ == "__main__":
+    sys.stdout.write(fault_transcript())
