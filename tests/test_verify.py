@@ -220,8 +220,8 @@ def _vanishing_criterion(mp):
     mp.setattr(verify, "vanishing_criterion", lambda div: real(div) and div.a < 4)
 
 
-# every check fails in at least one of these, each check's witness branches
-# included (graded_isomorphism's word count among them)
+# every check fails under at least one of these, and graded_isomorphism
+# fails in both of its branches: the word count and the image sets
 FAULTS = (
     _rotation,
     _dictionary_and_first_twist,
