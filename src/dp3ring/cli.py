@@ -207,7 +207,12 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if "integer string conversion" in message:
+            # Python's own text advises a call that no command line can make
+            limit = sys.get_int_max_str_digits()
+            message = f"a result integer has over {limit} digits, too many to print"
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

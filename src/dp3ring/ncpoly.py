@@ -274,9 +274,22 @@ def _render_term(coeff: CycNum, word: str, many_terms: bool) -> str:
 #
 # '*' is mandatory: juxtaposition is not multiplication, and the parser
 # never reorders operands.  Parentheses nest at most MAX_NESTING deep, so a
-# hostile input is a parse error, not a RecursionError.
+# hostile input is a parse error, not a RecursionError.  A product or power
+# whose words would grow past MAX_WORD_LENGTH letters is a parse error too,
+# found before it is multiplied out: "x^99999999999" would never finish.
 
 MAX_NESTING = 100
+MAX_WORD_LENGTH = 1000
+
+
+def _longest_word(poly: NcPoly) -> int:
+    return max(map(len, poly.terms), default=0)
+
+
+def _bound_words(length: int, pos: int) -> None:
+    if length > MAX_WORD_LENGTH:
+        message = f"words of {length} letters pass the limit of {MAX_WORD_LENGTH}"
+        raise ParseError(message, pos)
 
 
 def _literal(digits: str, pos: int) -> int:
@@ -373,10 +386,12 @@ class _Parser:
     def parse_term(self) -> NcPoly:
         out = self.parse_factor()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, pos = self.peek()
             if kind == "op" and value == "*":
                 self.advance()
-                out = out * self.parse_factor()
+                rhs = self.parse_factor()
+                _bound_words(_longest_word(out) + _longest_word(rhs), pos)
+                out = out * rhs
             else:
                 return out
 
@@ -389,6 +404,7 @@ class _Parser:
             if kind != "num" or value.denominator != 1:
                 raise ParseError("exponent must be a non-negative integer", pos)
             self.advance()
+            _bound_words(_longest_word(base) * int(value), pos)
             return base ** int(value)
         return base
 

@@ -184,9 +184,10 @@ def vanishing_criterion(div: DivisorClass) -> bool:
     Expands the Nakai-Moishezon inequalities for D - K coordinatewise.
     """
     a, b, c, d = div
-    if (a + 3) ** 2 <= (b + 1) ** 2 + (c + 1) ** 2 + (d + 1) ** 2:
-        return False
+    # the sign tests first: they are cheaper than the quadric
     if b <= -1 or c <= -1 or d <= -1:
+        return False
+    if (a + 3) ** 2 <= (b + 1) ** 2 + (c + 1) ** 2 + (d + 1) ** 2:
         return False
     return a + 1 > b + c and a + 1 > b + d and a + 1 > c + d
 

@@ -15,6 +15,8 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass
+from itertools import compress, count, islice, product
+from operator import ne
 
 from . import cox, ore, thcr
 from .cyclotomic import CycNum
@@ -480,19 +482,22 @@ def check_twist_ampleness(max_degree: int):
 @_check
 def check_ample_criterion_box():
     """The coordinate vanishing criterion agrees with Nakai-Moishezon for
-    D - K on the whole box [-5, 9]^4."""
-    count = 0
-    for a in range(-5, 10):
-        for b in range(-5, 10):
-            for c in range(-5, 10):
-                for d in range(-5, 10):
-                    div = DivisorClass(a, b, c, d)
-                    count += 1
-                    if vanishing_criterion(div) != is_ample(div - K):
-                        return f"{count} classes tested", [
-                            f"criterion and ampleness of D - K disagree at {div}"
-                        ]
-    return f"{count} classes in [-5,9]^4 agree", []
+    D - K on the whole box [-5, 9]^4.
+
+    C iterators drive the sweep: moving each coordinate range by -K gives
+    the box of D - K, which `product` walks in the same order, so the n-th
+    class of one box is the n-th class of the other minus K."""
+    span = range(-5, 10)
+    classes = functools.partial(tuple.__new__, DivisorClass)
+    box = map(classes, product(span, repeat=4))
+    moved = map(classes, product(*(range(span.start - k, span.stop - k) for k in K)))
+    disagree = map(ne, map(vanishing_criterion, box), map(is_ample, moved))
+    tested = next(compress(count(1), disagree), None)
+    if tested is None:
+        return f"{len(span) ** 4} classes in [-5,9]^4 agree", []
+    div = next(islice(map(classes, product(span, repeat=4)), tested - 1, None))
+    witness = f"criterion and ampleness of D - K disagree at {div}"
+    return f"{tested} classes tested", [witness]
 
 
 def run_all(max_degree: int = 24) -> VerificationReport:

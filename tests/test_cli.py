@@ -14,6 +14,7 @@ import pytest
 
 import dp3ring.picard as picard
 from dp3ring.cli import main
+from dp3ring.ncpoly import MAX_WORD_LENGTH
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).resolve().parent / "data"
@@ -59,6 +60,25 @@ def test_nf_parse_error_exits_2(capsys):
         assert "position" in err
 
 
+def test_nf_words_past_the_length_limit_exit_2(capsys):
+    # multiplying these out would build words longer than MAX_WORD_LENGTH;
+    # "x^99999999999" used to run until it was killed
+    for argv, pos in (
+        (["nf", "--", "x^99999999999"], 2),
+        (["nf", "--", "(x^100)^100"], 8),
+        (["nf", "--", "x^500*x^501"], 5),
+        (["nf", "--alphabet", "wzx", "--", "(w*x)^501"], 6),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"limit of {MAX_WORD_LENGTH} (position {pos})" in err
+    code, out, _ = run_cli(capsys, "nf", "--", "x^500*x^500")
+    assert code == 0
+    assert out == f"x^{MAX_WORD_LENGTH}\n"
+
+
 def test_oversized_result_integer_exits_2(capsys):
     # each result holds an integer of more than 4,300 digits, Python's limit
     # on converting an int to a string
@@ -72,6 +92,7 @@ def test_oversized_result_integer_exits_2(capsys):
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "4300 digits" in err
+        assert "set_int_max_str_digits" not in err
 
 
 def test_nf_unknown_variable_exits_2(capsys):

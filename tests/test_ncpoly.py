@@ -9,6 +9,7 @@ from dp3ring.cyclotomic import CycNum, ZETA
 from dp3ring.ncpoly import (
     AlphabetMismatchError,
     MAX_NESTING,
+    MAX_WORD_LENGTH,
     NcPoly,
     ParseError,
     WZX,
@@ -133,6 +134,23 @@ def test_parse_limits_parenthesis_nesting():
     with pytest.raises(ParseError) as info:
         parse("(" + deepest + ")", XY)
     assert info.value.pos == MAX_NESTING
+
+
+def test_parse_limits_word_length():
+    longest = f"x^{MAX_WORD_LENGTH}"
+    assert parse(longest, XY) == NcPoly.term(XY, "x" * MAX_WORD_LENGTH)
+    assert parse(f"({longest})^1*1", XY) == parse(longest, XY)
+    # a zero or scalar power has no letters to grow
+    assert parse(f"(x - x)^{MAX_WORD_LENGTH + 1}", XY).is_zero
+    for text, pos in (
+        (f"x^{MAX_WORD_LENGTH + 1}", 2),
+        (f"({longest})^2", len(longest) + 3),
+        (f"{longest}*y", len(longest)),
+        (f"(x + y^2)^{MAX_WORD_LENGTH // 2 + 1}", 10),
+    ):
+        with pytest.raises(ParseError) as info:
+            parse(text, XY)
+        assert info.value.pos == pos, text
 
 
 def test_parse_unexpected_character():

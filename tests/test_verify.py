@@ -142,6 +142,29 @@ def test_individual_checks_pass():
         assert check.passed, check.name
 
 
+def _flip_at(mp, name, corner):
+    """Negate `verify.<name>` on the one class `corner`, so the box check
+    disagrees there and nowhere else."""
+    real = getattr(verify, name)
+    mp.setattr(verify, name, lambda div: real(div) != (tuple(div) == corner))
+
+
+@pytest.mark.parametrize(
+    "name, corner, tested, witness",
+    [
+        ("vanishing_criterion", (-5, -5, -5, -5), 1, "(-5,-5,-5,-5)"),
+        ("vanishing_criterion", (9, 9, 9, 9), 15**4, "(9,9,9,9)"),
+        # is_ample sees D - K, so its corner is the last class minus K
+        ("is_ample", (12, 10, 10, 10), 15**4, "(9,9,9,9)"),
+    ],
+)
+def test_ample_criterion_box_edges(monkeypatch, name, corner, tested, witness):
+    _flip_at(monkeypatch, name, corner)
+    check = check_ample_criterion_box()
+    assert check.detail == f"{tested} classes tested"
+    assert check.witness == f"criterion and ampleness of D - K disagree at {witness}"
+
+
 def test_matrix_rank_on_known_matrices():
     one = CycNum(1)
     zero = CycNum(0)
