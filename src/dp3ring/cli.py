@@ -106,6 +106,8 @@ def _cmd_mul(args) -> int:
         inputs["alphabet"] = args.alphabet
         product = parse(args.lhs, alphabet) * parse(args.rhs, alphabet)
         rendered = _reduce(product, args.alphabet).render()
+    elif args.alphabet != "xy":
+        raise ValueError("--alphabet wzx applies to --ring R only")
     else:
         left = thcr.section_from_xy(parse(args.lhs, ALPHABETS["xy"]))
         right = thcr.section_from_xy(parse(args.rhs, ALPHABETS["xy"]))
@@ -126,9 +128,6 @@ def _cmd_hilbert(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.max_degree < 6:
-        print("error: --max-degree must be at least 6", file=sys.stderr)
-        return 2
     report = verify.run_all(args.max_degree)
     _emit(
         args,

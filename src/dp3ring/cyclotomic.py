@@ -20,6 +20,34 @@ def _exact(value) -> int | Fraction:
     return value.numerator if value.denominator == 1 else value
 
 
+def render_sum(terms) -> str:
+    """A signed sum such as `x + 2*y - zeta*z`, from (coefficient, monomial
+    text) pairs in display order, "" being the monomial 1.
+
+    Zero terms are dropped, a coefficient 1 or -1 on a monomial is left out,
+    and a coefficient that is itself a sum is parenthesised unless it is the
+    whole sum.  The empty sum is 0.
+    """
+    terms = [term for term in terms if term[0]]
+    out = ""
+    for coeff, body in terms:
+        if body and coeff == 1:
+            piece = body
+        elif body and coeff == -1:
+            piece = "-" + body
+        else:
+            piece = str(coeff)
+            if " " in piece and (body or len(terms) > 1):
+                piece = f"({piece})"
+            if body:
+                piece += "*" + body
+        if out:
+            out += " - " + piece[1:] if piece[0] == "-" else " + " + piece
+        else:
+            out = piece
+    return out or "0"
+
+
 class CycNum:
     """An element p + q*zeta of Q(zeta)."""
 
@@ -100,19 +128,7 @@ class CycNum:
         return self.q == 0
 
     def __str__(self):
-        if self.q == 0:
-            return str(self.p)
-        if self.q == 1:
-            zpart = "zeta"
-        elif self.q == -1:
-            zpart = "-zeta"
-        else:
-            zpart = f"{self.q}*zeta"
-        if self.p == 0:
-            return zpart
-        if self.q < 0:
-            return f"{self.p} - {zpart[1:]}"
-        return f"{self.p} + {zpart}"
+        return render_sum(((self.p, ""), (self.q, "zeta")))
 
     __repr__ = __str__
 

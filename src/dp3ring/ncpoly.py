@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import CycNum, ZETA
+from .cyclotomic import CycNum, ZETA, render_sum
 
 
 class AlphabetMismatchError(ValueError):
@@ -94,20 +94,12 @@ class NcPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, alphabet: Alphabet) -> NcPoly:
-        return cls(alphabet)
-
-    @classmethod
     def scalar(cls, alphabet: Alphabet, value) -> NcPoly:
         return cls(alphabet, {"": value})
 
     @classmethod
     def variable(cls, alphabet: Alphabet, letter: str) -> NcPoly:
         return cls(alphabet, {letter: 1})
-
-    @classmethod
-    def term(cls, alphabet: Alphabet, word: str, coeff=1) -> NcPoly:
-        return cls(alphabet, {word: coeff})
 
     # -- ring structure ------------------------------------------------------
 
@@ -157,9 +149,12 @@ class NcPoly:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("polynomial exponents must be non-negative integers")
+        # square and multiply, highest bit first: about 2*log2(k) products
         out = NcPoly.scalar(self.alphabet, 1)
-        for _ in range(k):
-            out = out * self
+        for bit in bin(k)[2:]:
+            out = out * out
+            if bit == "1":
+                out = out * self
         return out
 
     def __eq__(self, other):
@@ -219,50 +214,15 @@ class NcPoly:
             tuple(self.alphabet.index(ch) for ch in word),
         )
 
-    def sorted_terms(self) -> list[tuple[str, CycNum]]:
-        """Terms in canonical order: degree first, then letter-order lex."""
-        return sorted(self.terms.items(), key=lambda kv: self._sort_key(kv[0]))
-
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        terms = self.sorted_terms()
-        many = len(terms) > 1
-        pieces = [_render_term(coeff, word, many) for word, coeff in terms]
-        out = pieces[0]
-        for piece in pieces[1:]:
-            if piece.startswith("-"):
-                out += " - " + piece[1:]
-            else:
-                out += " + " + piece
-        return out
+        """Terms in canonical order: degree first, then letter-order lex."""
+        terms = sorted(self.terms.items(), key=lambda kv: self._sort_key(kv[0]))
+        return render_sum((c, render_word(w) if w else "") for w, c in terms)
 
-    def __str__(self):
-        return self.render()
+    __str__ = render
 
     def __repr__(self):
         return f"<{self.alphabet.name}: {self.render()}>"
-
-
-def _render_term(coeff: CycNum, word: str, many_terms: bool) -> str:
-    if not word:
-        if coeff.q != 0 and coeff.p != 0 and many_terms:
-            return f"({coeff})"
-        return str(coeff)
-    body = render_word(word)
-    if coeff == 1:
-        return body
-    if coeff == -1:
-        return f"-{body}"
-    if coeff.q == 0:
-        return f"{coeff.p}*{body}"
-    if coeff.p == 0:
-        if coeff.q == 1:
-            return f"zeta*{body}"
-        if coeff.q == -1:
-            return f"-zeta*{body}"
-        return f"{coeff.q}*zeta*{body}"
-    return f"({coeff})*{body}"
 
 
 # -- parsing ---------------------------------------------------------------
@@ -277,9 +237,13 @@ def _render_term(coeff: CycNum, word: str, many_terms: bool) -> str:
 # hostile input is a parse error, not a RecursionError.  A product or power
 # whose words would grow past MAX_WORD_LENGTH letters is a parse error too,
 # found before it is multiplied out: "x^99999999999" would never finish.
+# A scalar other than 0 or a sixth root of unity gains over a fifth of a
+# digit per factor, so its power past MAX_SCALAR_EXPONENT could never be
+# printed and is refused too.
 
 MAX_NESTING = 100
 MAX_WORD_LENGTH = 1000
+MAX_SCALAR_EXPONENT = 10**5
 
 
 def _longest_word(poly: NcPoly) -> int:
@@ -405,6 +369,11 @@ class _Parser:
                 raise ParseError("exponent must be a non-negative integer", pos)
             self.advance()
             _bound_words(_longest_word(base) * int(value), pos)
+            # past the word bound only a letterless base is left
+            if value > MAX_SCALAR_EXPONENT and base and base**6 != base**0:
+                limit = MAX_SCALAR_EXPONENT
+                message = f"a scalar power past exponent {limit} is too long to print"
+                raise ParseError(message, pos)
             return base ** int(value)
         return base
 

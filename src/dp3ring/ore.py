@@ -101,8 +101,6 @@ def xy_to_pbw(p: NcPoly) -> NcPoly:
     """Express an x,y-polynomial in the ordered w,z,x basis (y = w + x^2)."""
     if p.alphabet != XY:
         raise AlphabetMismatchError("xy_to_pbw expects the x,y alphabet")
-    if p.is_zero:
-        return NcPoly.zero(WZX)
     return normal_form(p.substitute(_XY_IMAGES))
 
 

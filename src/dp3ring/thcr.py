@@ -22,6 +22,7 @@ from .cox import (
     render_monomial,
     rotate_exponents,
 )
+from .cyclotomic import render_sum
 from .ncpoly import NcPoly, XY
 from .picard import twist_divisor
 
@@ -81,26 +82,13 @@ class GradedSection:
                 )
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
         # canonical display order: lex on exponent vectors, largest first
-        for mono in sorted(self.terms, reverse=True):
-            coeff = self.terms[mono]
-            body = render_monomial(mono)
-            if coeff == 1:
-                pieces.append(body)
-            elif coeff == -1:
-                pieces.append(f"-{body}")
-            else:
-                pieces.append(f"{coeff}*{body}")
-        out = pieces[0]
-        for piece in pieces[1:]:
-            out += " - " + piece[1:] if piece.startswith("-") else " + " + piece
-        return out
+        return render_sum(
+            (self.terms[mono], render_monomial(mono))
+            for mono in sorted(self.terms, reverse=True)
+        )
 
-    def __str__(self):
-        return self.render()
+    __str__ = render
 
 
 def twisted_mul(a: GradedSection, b: GradedSection) -> GradedSection:

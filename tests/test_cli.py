@@ -14,7 +14,7 @@ import pytest
 
 import dp3ring.picard as picard
 from dp3ring.cli import main
-from dp3ring.ncpoly import MAX_WORD_LENGTH
+from dp3ring.ncpoly import MAX_SCALAR_EXPONENT, MAX_WORD_LENGTH
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).resolve().parent / "data"
@@ -77,6 +77,39 @@ def test_nf_words_past_the_length_limit_exit_2(capsys):
     code, out, _ = run_cli(capsys, "nf", "--", "x^500*x^500")
     assert code == 0
     assert out == f"x^{MAX_WORD_LENGTH}\n"
+
+
+def run_cli_process(*argv, timeout=20):
+    """(exit code, stdout, stderr) of `dp3ring` in a child process, which a
+    hang cannot outlast."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dp3ring.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=timeout,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_nf_huge_scalar_powers_finish():
+    # these powers of letterless bases each used to multiply 99999999999
+    # times; a sixth root of unity or 0 cycles, any other scalar is too long
+    # to print and is refused before it is computed
+    for expression, code, out in (
+        ("1^99999999999", 0, "1\n"),
+        ("(x-x)^99999999999", 0, "0\n"),
+        ("zeta^99999999999", 0, "-1\n"),
+        ("(zeta - 1)^99999999999", 0, "1\n"),
+        ("2^99999999999", 2, ""),
+        ("(1/2 + zeta)^100001", 2, ""),
+    ):
+        result = run_cli_process("nf", "--", expression)
+        assert result[:2] == (code, out), expression
+        if code == 2:
+            assert result[2].startswith("error: ") and result[2].count("\n") == 1
+            assert f"past exponent {MAX_SCALAR_EXPONENT}" in result[2]
 
 
 def test_oversized_result_integer_exits_2(capsys):
@@ -241,6 +274,14 @@ def test_verify_timings_give_every_check_an_elapsed_time(capsys):
     timed = [line for line in out.splitlines() if line.startswith("  PASS")]
     assert len(timed) == 17
     assert all(re.search(r" \(\d+\.\d ms\)$", line) for line in timed)
+
+
+def test_mul_ring_b_rejects_the_wzx_alphabet(capsys):
+    # the twisted ring reads x,y expressions only; --alphabet used to be ignored
+    code, out, err = run_cli(capsys, "mul", "--ring", "B", "--alphabet", "wzx", "x", "x")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --alphabet wzx applies to --ring R only\n"
 
 
 def test_verify_rejects_small_max_degree(capsys):

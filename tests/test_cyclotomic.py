@@ -115,6 +115,10 @@ def test_rendering():
     assert str(CycNum(0, Fraction(3, 2))) == "3/2*zeta"
     assert str(CycNum(Fraction(1, 2), 3)) == "1/2 + 3*zeta"
     assert str(CycNum(2, Fraction(-5, 3))) == "2 - 5/3*zeta"
+    assert str(CycNum(-2)) == "-2"
+    assert str(CycNum(0, Fraction(-3, 2))) == "-3/2*zeta"
+    assert str(CycNum(-1, -1)) == "-1 - zeta"
+    assert str(CycNum(Fraction(1, 2), -3)) == "1/2 - 3*zeta"
 
 
 @given(a=cycnums, b=cycnums, c=cycnums)

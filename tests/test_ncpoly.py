@@ -9,6 +9,7 @@ from dp3ring.cyclotomic import CycNum, ZETA
 from dp3ring.ncpoly import (
     AlphabetMismatchError,
     MAX_NESTING,
+    MAX_SCALAR_EXPONENT,
     MAX_WORD_LENGTH,
     NcPoly,
     ParseError,
@@ -17,6 +18,8 @@ from dp3ring.ncpoly import (
     parse,
     word_degree,
 )
+from dp3ring.ore import normal_form
+from dp3ring.thcr import GradedSection, section_from_xy, twisted_mul
 
 
 def xy(text):
@@ -138,7 +141,7 @@ def test_parse_limits_parenthesis_nesting():
 
 def test_parse_limits_word_length():
     longest = f"x^{MAX_WORD_LENGTH}"
-    assert parse(longest, XY) == NcPoly.term(XY, "x" * MAX_WORD_LENGTH)
+    assert parse(longest, XY) == NcPoly(XY, {"x" * MAX_WORD_LENGTH: 1})
     assert parse(f"({longest})^1*1", XY) == parse(longest, XY)
     # a zero or scalar power has no letters to grow
     assert parse(f"(x - x)^{MAX_WORD_LENGTH + 1}", XY).is_zero
@@ -151,6 +154,19 @@ def test_parse_limits_word_length():
         with pytest.raises(ParseError) as info:
             parse(text, XY)
         assert info.value.pos == pos, text
+
+
+def test_scalar_powers_past_the_bound_are_refused():
+    # 0 and the sixth roots of unity cycle; any other scalar power this long
+    # has far more digits than can be printed
+    past = MAX_SCALAR_EXPONENT + 1
+    for base in ("0", "(-zeta)", "(1 - zeta)"):
+        assert parse(f"{base}^{past}", XY) == parse(f"{base}^{past % 6}", XY)
+    for text, pos in ((f"2^{past}", 2), (f"(1/2*zeta)^{past}", 11)):
+        with pytest.raises(ParseError, match="too long to print") as info:
+            parse(text, XY)
+        assert info.value.pos == pos, text
+    assert parse(f"(-1)^{MAX_SCALAR_EXPONENT}", XY) == parse("1", XY)
 
 
 def test_parse_unexpected_character():
@@ -203,6 +219,34 @@ def test_render_coefficient_styles():
     assert xy("x + 1 - zeta").render() == "(1 - zeta) + x"
 
 
+def _nf_wzx(text):
+    return normal_form(parse(text, WZX)).render()
+
+
+def _mul_b(lhs, rhs):
+    return twisted_mul(section_from_xy(xy(lhs)), section_from_xy(xy(rhs))).render()
+
+
+# one printer writes R's elements, B's sections and Q(zeta) scalars, so
+# these pin its sign joins, parentheses and +-1 elisions across all three
+@pytest.mark.parametrize(
+    "render, args, expected",
+    [
+        (_nf_wzx, ("(zeta-1)*w + x",), "x + (-1 + zeta)*w"),
+        (_nf_wzx, ("(zeta - 1) + x",), "(-1 + zeta) + x"),
+        (_nf_wzx, ("1 - zeta",), "1 - zeta"),
+        (_nf_wzx, ("-1/2*zeta*z",), "-1/2*zeta*z"),
+        (_nf_wzx, ("-(1 - zeta)*x*w",), "zeta*w*x + (-1 + zeta)*z"),
+        (_mul_b, ("3", "1"), "3*1"),
+        (_mul_b, ("x*x", "1/2*x*x - y"), "-X^2*s*u + 1/2*X*Y*t*u"),
+        (GradedSection.render, (GradedSection(2, {}),), "0"),
+    ],
+    ids=lambda value: value if isinstance(value, str) else None,
+)
+def test_render_pins_the_printer(render, args, expected):
+    assert render(*args) == expected
+
+
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 coeffs = st.builds(CycNum, rationals, rationals)
 
@@ -238,6 +282,15 @@ def test_multiplication_distributes(p, q, r):
 def test_substitution_is_a_homomorphism(p, q):
     images = {"x": NcPoly.variable(WZX, "x"), "y": NcPoly(WZX, {"w": 1, "xx": 1})}
     assert (p * q).substitute(images) == p.substitute(images) * q.substitute(images)
+
+
+@settings(max_examples=40)
+@given(p=polys(XY), k=st.integers(0, 5))
+def test_power_is_repeated_product(p, k):
+    product = NcPoly.scalar(XY, 1)
+    for _ in range(k):
+        product = product * p
+    assert p**k == product
 
 
 @settings(max_examples=80)

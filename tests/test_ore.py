@@ -62,6 +62,10 @@ def test_relation_y2_reduces_to_zero():
     assert xy_to_pbw(xy("y^2 - x*y*x")).is_zero
 
 
+def test_zero_converts_to_zero_over_wzx():
+    assert xy_to_pbw(xy("0")) == NcPoly(WZX)
+
+
 def test_x6_equals_y3():
     assert xy_to_pbw(xy("x^6 - y^3")).is_zero
 
@@ -128,10 +132,10 @@ def ambiguities(keys):
 
 def reduce_once(word, i, key):
     """The word with its leading word `key` at position i rewritten once."""
-    out = NcPoly.zero(WZX)
+    out = NcPoly(WZX)
     for pair, replacement in ore.REWRITE_RULES[key]:
         reduced = word[:i] + replacement + word[i + len(key) :]
-        out = out + NcPoly.term(WZX, reduced, CycNum(*pair))
+        out = out + NcPoly(WZX, {reduced: CycNum(*pair)})
     return out
 
 

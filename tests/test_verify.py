@@ -186,7 +186,7 @@ def test_veronese_kernel_dimension():
 def test_cubic_veronese_reports_unordered_words(monkeypatch):
     # a normal form that leaves a word unordered fails the check, no raise
     real = ore.xy_to_pbw
-    monkeypatch.setattr(ore, "xy_to_pbw", lambda p: real(p) + NcPoly.term(WZX, "xw"))
+    monkeypatch.setattr(ore, "xy_to_pbw", lambda p: real(p) + NcPoly(WZX, {"xw": 1}))
     check = check_cubic_veronese()
     assert not check.passed
     assert "(x^3)*(x^3) has the unordered word 'xw'" in check.witness
@@ -235,7 +235,7 @@ def _counts(mp):
 
 def _normal_form(mp):
     real = ore.xy_to_pbw
-    mp.setattr(ore, "xy_to_pbw", lambda p: real(p) + NcPoly.term(WZX, "xw"))
+    mp.setattr(ore, "xy_to_pbw", lambda p: real(p) + NcPoly(WZX, {"xw": 1}))
 
 
 def _vanishing_criterion(mp):
