@@ -9,6 +9,7 @@ anything.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -265,6 +266,11 @@ def _literal(digits: str, pos: int) -> int:
         raise ParseError(message, pos) from None
 
 
+# a number is a run of ASCII digits, optionally over another such run;
+# str.isdigit would also take digits such as "²" that int() refuses
+_NUMBER = re.compile(r"([0-9]+)(?:/([0-9]+))?")
+
+
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
     tokens: list[tuple[str, object, int]] = []
     i = 0
@@ -274,23 +280,14 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            num = _literal(text[i:j], i)
-            if j < n and text[j] == "/" and j + 1 < n and text[j + 1].isdigit():
-                k = j + 1
-                while k < n and text[k].isdigit():
-                    k += 1
-                den = _literal(text[j + 1 : k], j + 1)
-                if den == 0:
-                    raise ParseError("zero denominator", i)
-                tokens.append(("num", Fraction(num, den), i))
-                i = k
-            else:
-                tokens.append(("num", Fraction(num), i))
-                i = j
+        number = _NUMBER.match(text, i)
+        if number:
+            num = _literal(number[1], i)
+            den = 1 if number[2] is None else _literal(number[2], number.start(2))
+            if den == 0:
+                raise ParseError("zero denominator", i)
+            tokens.append(("num", Fraction(num, den), i))
+            i = number.end()
             continue
         if ch.isalpha():
             j = i

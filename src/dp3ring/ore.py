@@ -7,8 +7,9 @@ the ordered words w^i z^j x^k.  These are a linear basis, so the normal form
 is unique: by Bergman's diamond lemma (Adv. Math. 29, 1978) it suffices that
 the one ambiguity of the rules, xzw, resolves and that the rules lower a
 semigroup order, which `tests/test_ore.py` checks from `REWRITE_RULES`.
-That table holds each rule coefficient as its Z[zeta] pair (p, q), meaning
-p + q*zeta.
+`normal_form` rewrites a polynomial as one map from word to coefficient,
+round by round, so a word reached along many paths is rewritten once per
+round.
 The same ring is generated by x (weight 1) and y = w + x^2 (weight 2)
 subject to x^5 = yxy and y^2 = xyx; `xy_to_pbw` converts from that
 presentation.
@@ -22,14 +23,14 @@ z).  The measure is asserted on every application.
 
 from __future__ import annotations
 
-from .cyclotomic import CycNum
+from .cyclotomic import CycNum, ONE, ZERO, ZETA
 from .ncpoly import NcPoly, WZX, XY, AlphabetMismatchError
 
-# the coefficient pair (p, q) means p + q*zeta; -zeta^2 = 1 - zeta
-REWRITE_RULES: dict[str, tuple[tuple[tuple[int, int], str], ...]] = {
-    "zw": (((0, 1), "wz"),),
-    "xw": (((1, -1), "wx"), ((1, 0), "z")),
-    "xz": (((0, 1), "zx"), ((-1, 0), "ww")),
+# -zeta^2 = 1 - zeta
+REWRITE_RULES: dict[str, tuple[tuple[CycNum, str], ...]] = {
+    "zw": ((ZETA, "wz"),),
+    "xw": ((CycNum(1, -1), "wx"), (ONE, "z")),
+    "xz": ((ZETA, "zx"), (-ONE, "ww")),
 }
 
 
@@ -60,36 +61,30 @@ def is_pbw_word(word: str) -> bool:
 def normal_form(p: NcPoly) -> NcPoly:
     """Unique ordered-monomial representative of p's class.
 
-    The leftmost reducible pair is rewritten first; any other order gives
-    the same result, because the rules resolve their one ambiguity (the
+    The whole polynomial is one map from word to coefficient, rewritten in
+    rounds: an ordered word is added into the result, and every other word
+    has its leftmost reducible pair rewritten once, into the next round's
+    map, where equal words merge.  Any other rewriting order gives the same
+    result, because the rules resolve their one ambiguity (the
     diamond-lemma test).
-
-    Each word of p is rewritten from coefficient 1.  The rule coefficients
-    are Z[zeta] pairs, so the rewriting carries plain integer pairs (a, b)
-    meaning a + b*zeta, and each resulting monomial is multiplied by the
-    word's own coefficient once.
     """
     if p.alphabet != WZX:
         raise AlphabetMismatchError("normal_form expects the w,z,x alphabet")
     out: dict[str, CycNum] = {}
-    for start, coeff in reversed(p.terms.items()):
-        reached: dict[str, tuple[int, int]] = {}
-        pending = [(start, 1, 0)]
-        while pending:
-            word, a, b = pending.pop()
+    level = p.terms
+    while level:
+        rewritten: dict[str, CycNum] = {}
+        for word, coeff in level.items():
             i = _find_redex(word)
             if i is None:
-                a0, b0 = reached.get(word, (0, 0))
-                reached[word] = (a0 + a, b0 + b)
+                out[word] = out.get(word, ZERO) + coeff
                 continue
             measure = termination_measure(word)
-            for (rp, rq), replacement in REWRITE_RULES[word[i : i + 2]]:
+            for rule_coeff, replacement in REWRITE_RULES[word[i : i + 2]]:
                 new_word = word[:i] + replacement + word[i + 2 :]
                 assert termination_measure(new_word) < measure
-                # (a + b*zeta)(rp + rq*zeta), then zeta^2 = zeta - 1
-                pending.append((new_word, a * rp - b * rq, a * rq + b * rp + b * rq))
-        for word, (a, b) in reached.items():
-            out[word] = out.get(word, CycNum(0)) + CycNum(a, b) * coeff
+                rewritten[new_word] = rewritten.get(new_word, ZERO) + coeff * rule_coeff
+        level = rewritten
     return NcPoly(WZX, out)
 
 
@@ -118,15 +113,13 @@ def pbw_basis(n: int) -> list[str]:
 def hilbert_coeffs(max_degree: int) -> list[int]:
     """Graded dimensions [dim_0, ..., dim_max_degree], counting the basis.
 
-    For each i the exponents j of `pbw_basis(n)` run over 0..(n - 2i)//3,
-    so the count needs no monomials.
+    `pbw_basis(n)` has one word per partition of n into parts 1, 2 and 3,
+    and there are ((n + 3)^2 + 6) // 12 of those, the integer nearest
+    (n + 3)^2 / 12.
     """
     if max_degree < 0:
         raise ValueError("degree must be non-negative")
-    return [
-        sum((n - 2 * i) // 3 + 1 for i in range(n // 2 + 1))
-        for n in range(max_degree + 1)
-    ]
+    return [((n + 3) ** 2 + 6) // 12 for n in range(max_degree + 1)]
 
 
 def commutes_with_generators(p: NcPoly) -> bool:

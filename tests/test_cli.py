@@ -52,6 +52,9 @@ def test_nf_parse_error_exits_2(capsys):
         ["nf", "--", "(" * 260 + "x" + ")" * 260],
         ["nf", "--", "9" * 4301],
         ["nf", "--", "x^" + "9" * 4301],
+        # a number is ASCII digits only: "٣" used to read as 3
+        ["nf", "--", "٣*x"],
+        ["mul", "--ring", "B", "x", "x^²"],
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
@@ -110,6 +113,12 @@ def test_nf_huge_scalar_powers_finish():
         if code == 2:
             assert result[2].startswith("error: ") and result[2].count("\n") == 1
             assert f"past exponent {MAX_SCALAR_EXPONENT}" in result[2]
+
+
+def test_nf_of_a_heavy_word_finishes():
+    # rewriting every path of a word separately took about 40 minutes on it
+    expected = "-w^2*x^12 - zeta*w*x^14 + z*x^13 + x^16\n"
+    assert run_cli_process("nf", "--", "x^14*y") == (0, expected, "")
 
 
 def test_oversized_result_integer_exits_2(capsys):
@@ -250,10 +259,24 @@ def test_hilbert_at_a_large_cap(capsys):
     code, out, _ = run_cli(capsys, "hilbert", "--max-degree", "2000")
     assert code == 0
     coeffs = [int(c) for c in out.split(", ")]
-    assert len(coeffs) == 2001
-    # oracle: partitions into parts 1, 2, 3 number round((n + 3)^2 / 12)
-    assert all(c == ((n + 3) ** 2 + 6) // 12 for n, c in enumerate(coeffs))
+    # oracle: Taylor expansion of 1/((1-t)(1-t^2)(1-t^3)) by iterated
+    # prefix sums, one per factor
+    series = [1] + [0] * 2000
+    for step in (1, 2, 3):
+        for n in range(step, 2001):
+            series[n] += series[n - step]
+    assert coeffs == series
     assert coeffs[-1] == 334334
+
+
+def test_hilbert_at_a_huge_cap():
+    # a sum over the basis in every degree is quadratic in the cap and took
+    # minutes at this size
+    code, out, err = run_cli_process("hilbert", "--max-degree", "100000")
+    assert (code, err) == (0, "")
+    coeffs = out.split(", ")
+    assert len(coeffs) == 100001
+    assert coeffs[-1] == "833383334\n"
 
 
 def test_verify_small_cap_passes(capsys):

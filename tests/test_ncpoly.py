@@ -174,6 +174,21 @@ def test_parse_unexpected_character():
         xy("x @ y")
 
 
+def test_parse_numbers_are_ascii_digits():
+    # str.isdigit takes these digits too; int() then refused "²" with a
+    # message about a too long literal, and read "٣" as 3
+    for text, pos, char in (
+        ("x^²", 2, "²"),
+        ("٣*x", 0, "٣"),
+        ("x + 2*٣", 6, "٣"),
+        ("3/²*x", 1, "/"),
+    ):
+        with pytest.raises(ParseError, match=f"unexpected character {char!r}") as info:
+            xy(text)
+        assert info.value.pos == pos, text
+    assert xy("x^2 + 12/34*y") == xy("x*x + 6/17*y")
+
+
 def test_substitute_expands_square():
     # oracle: (w + x^2)^2 expanded by hand keeping order:
     # w^2 + w x^2 + x^2 w + x^4

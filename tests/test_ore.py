@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dp3ring import ore
 from dp3ring.cyclotomic import CycNum, ZETA
@@ -79,11 +79,6 @@ def test_relations_via_explicit_generator_images():
     assert normal_form(big_y * big_y - x * big_y * x).is_zero
 
 
-def test_normal_form_linearity():
-    p = wzx("x*w + 2*z*w")
-    assert normal_form(p) == normal_form(wzx("x*w")) + 2 * normal_form(wzx("z*w"))
-
-
 def test_termination_measure_values():
     assert termination_measure("") == (0, 0, 0)
     assert termination_measure("wzx") == (1, 1, 0)
@@ -133,9 +128,9 @@ def ambiguities(keys):
 def reduce_once(word, i, key):
     """The word with its leading word `key` at position i rewritten once."""
     out = NcPoly(WZX)
-    for pair, replacement in ore.REWRITE_RULES[key]:
+    for coeff, replacement in ore.REWRITE_RULES[key]:
         reduced = word[:i] + replacement + word[i + len(key) :]
-        out = out + NcPoly(WZX, {reduced: CycNum(*pair)})
+        out = out + NcPoly(WZX, {reduced: coeff})
     return out
 
 
@@ -167,7 +162,7 @@ def test_every_ambiguity_resolves():
 
 def test_diamond_lemma_catches_a_wrong_rule(monkeypatch):
     # zw -> wz without the zeta
-    monkeypatch.setitem(ore.REWRITE_RULES, "zw", (((1, 0), "wz"),))
+    monkeypatch.setitem(ore.REWRITE_RULES, "zw", ((CycNum(1), "wz"),))
     assert unresolved_ambiguities() == ["xzw"]
 
 
@@ -259,6 +254,19 @@ words = st.text(alphabet=["w", "z", "x"], max_size=6)
 wzx_polys = st.dictionaries(words, coeffs, max_size=3).map(
     lambda terms: NcPoly(WZX, terms)
 )
+
+
+@settings(max_examples=50, deadline=None)
+@given(p=wzx_polys)
+@example(p=wzx("x*w + 2*z*w"))
+def test_normal_form_linearity(p):
+    # the words of p are rewritten together and words reached from
+    # different terms merge; the result is still the sum of the terms'
+    # normal forms
+    total = NcPoly(WZX)
+    for word, coeff in p.terms.items():
+        total = total + coeff * normal_form(NcPoly(WZX, {word: 1}))
+    assert normal_form(p) == total
 
 
 @settings(max_examples=50, deadline=None)
