@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import signal
 import sys
 
@@ -17,8 +18,19 @@ from .ncpoly import ALPHABETS, parse, render_word
 from .picard import DivisorClass, K, chi, h0_formula, is_ample, twist_divisor
 
 
+def _int(text: str, name: str = "int") -> int:
+    """An integer argument: ASCII digits, "-" first where negatives are
+    allowed (int() alone also takes "٣", "1_0", "+3" and spaces)."""
+    try:
+        if re.fullmatch("-?[0-9]+", text):
+            return int(text)
+    except ValueError:  # past Python's 4,300-digit limit
+        pass
+    raise argparse.ArgumentTypeError(f"invalid {name} value: {text!r}")
+
+
 def _nonneg(text: str) -> int:
-    value = int(text)
+    value = _int(text, "_nonneg")
     if value < 0:
         raise argparse.ArgumentTypeError("must be non-negative")
     return value
@@ -164,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("h0", help="section count of an arbitrary class (a b c d)")
     for name in ("a", "b", "c", "d"):
-        p.add_argument(name, type=int)
+        p.add_argument(name, type=_int)
     add_format(p)
     p.set_defaults(func=_cmd_h0)
 
@@ -188,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_hilbert)
 
     p = sub.add_parser("verify", help="run the full verification suite")
-    p.add_argument("--max-degree", type=int, default=24)
+    p.add_argument("--max-degree", type=_int, default=24)
     p.add_argument(
         "--timings", action="store_true", help="add each check's elapsed time"
     )

@@ -6,7 +6,8 @@ curve's divisor class; the graded piece in degree D is spanned by the
 monomials of multidegree D, which this module enumerates directly.  The
 cyclic rotation X -> u -> Y -> t -> Z -> s -> X of the variables realizes
 the hexagon symmetry on sections and matches the lattice rotation on
-multidegrees.
+multidegrees; `_ROT_IMAGE` states one step, and one table of its six powers
+rotates both a variable and an exponent vector.
 
 A monomial is its exponent 6-tuple in the variable order X, Y, Z, s, t, u;
 tuples compare lexicographically, which is the canonical display order.
@@ -15,8 +16,9 @@ tuples compare lexicographically, which is the canonical display order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
+from operator import add, itemgetter
 
+from .cyclotomic import render_powers
 from .picard import DivisorClass
 
 VARIABLES = ("X", "Y", "Z", "s", "t", "u")
@@ -33,13 +35,13 @@ WEIGHT_TABLE = (
 # one rotation step sends variable i to variable _ROT_IMAGE[i]
 _ROT_IMAGE = (5, 4, 3, 0, 2, 1)
 
-# _ROT_SOURCE[m][j] = which old exponent lands on variable j after m steps
-_ROT_SOURCE = []
-_perm = list(range(6))
-for _ in range(6):
-    _ROT_SOURCE.append(tuple(_perm))
-    _perm = [_perm[_ROT_IMAGE.index(j)] for j in range(6)]
-_ROT_SOURCE = tuple(_ROT_SOURCE)
+# _ROT_POWERS[m][i] = the image of variable i after m steps, m = 0..5
+_ROT_POWERS = ((0, 1, 2, 3, 4, 5),)
+while len(_ROT_POWERS) < 6:
+    _ROT_POWERS += (tuple(_ROT_IMAGE[i] for i in _ROT_POWERS[-1]),)
+
+# after m steps variable j holds the exponent of the variable sent to j
+_ROT_GATHER = tuple(itemgetter(*sorted(range(6), key=p.__getitem__)) for p in _ROT_POWERS)
 
 # the nine codimension-two coordinate subspaces removed before taking the
 # torus quotient, as unordered variable pairs
@@ -55,16 +57,12 @@ IRRELEVANT_PAIRS = tuple(
 
 def rotate_variable(name: str, times: int = 1) -> str:
     """Image of a variable under the cyclic rotation."""
-    i = VARIABLES.index(name)
-    for _ in range(times % 6):
-        i = _ROT_IMAGE[i]
-    return VARIABLES[i]
+    return VARIABLES[_ROT_POWERS[times % 6][VARIABLES.index(name)]]
 
 
 def rotate_exponents(exps: tuple[int, ...], times: int = 1) -> tuple[int, ...]:
     """Image of a section monomial under `times` steps of the rotation."""
-    src = _ROT_SOURCE[times % 6]
-    return tuple(exps[src[j]] for j in range(6))
+    return _ROT_GATHER[times % 6](exps)
 
 
 def monomial_product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -94,13 +92,7 @@ def multidegree(exps: tuple[int, ...]) -> DivisorClass:
 
 def render_monomial(exps: tuple[int, ...]) -> str:
     """Canonical rendering, e.g. "X^2*Y*s*u^2", or "1" for the unit."""
-    parts = []
-    for name, exp in zip(VARIABLES, exps):
-        if exp == 1:
-            parts.append(name)
-        elif exp > 1:
-            parts.append(f"{name}^{exp}")
-    return "*".join(parts) if parts else "1"
+    return render_powers(zip(VARIABLES, exps))
 
 
 def parse_monomial(text: str) -> tuple[int, ...]:

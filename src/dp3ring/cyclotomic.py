@@ -48,6 +48,13 @@ def render_sum(terms) -> str:
     return out or "0"
 
 
+def render_powers(pairs) -> str:
+    """A product of powers such as `w^2*z*x` from (name, exponent) pairs in
+    display order: exponent 0 left out, 1 written bare, the empty product 1."""
+    parts = [name if exp == 1 else f"{name}^{exp}" for name, exp in pairs if exp]
+    return "*".join(parts) or "1"
+
+
 class CycNum:
     """An element p + q*zeta of Q(zeta)."""
 

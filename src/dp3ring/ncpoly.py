@@ -12,8 +12,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
-from .cyclotomic import CycNum, ZETA, render_sum
+from .cyclotomic import CycNum, ZETA, render_powers, render_sum
 
 
 class AlphabetMismatchError(ValueError):
@@ -39,12 +40,6 @@ class Alphabet:
     def weight(self, letter: str) -> int:
         return self.weights[self.letters.index(letter)]
 
-    def index(self, letter: str) -> int:
-        return self.letters.index(letter)
-
-    def __contains__(self, letter: str) -> bool:
-        return letter in self.letters
-
 
 XY = Alphabet("xy", ("x", "y"), (1, 2))
 WZX = Alphabet("wzx", ("w", "z", "x"), (2, 3, 1))
@@ -58,18 +53,7 @@ def word_degree(word: str, alphabet: Alphabet) -> int:
 
 def render_word(word: str) -> str:
     """A word as the grammar writes it, runs as powers: "wwzx" -> "w^2*z*x"."""
-    if not word:
-        return "1"
-    parts = []
-    i = 0
-    while i < len(word):
-        j = i
-        while j < len(word) and word[j] == word[i]:
-            j += 1
-        run = j - i
-        parts.append(word[i] if run == 1 else f"{word[i]}^{run}")
-        i = j
-    return "*".join(parts)
+    return render_powers((ch, len(list(run))) for ch, run in groupby(word))
 
 
 class NcPoly:
@@ -163,9 +147,6 @@ class NcPoly:
             return NotImplemented
         return self.alphabet == other.alphabet and self.terms == other.terms
 
-    def __bool__(self):
-        return bool(self.terms)
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -212,7 +193,7 @@ class NcPoly:
     def _sort_key(self, word: str):
         return (
             word_degree(word, self.alphabet),
-            tuple(self.alphabet.index(ch) for ch in word),
+            tuple(map(self.alphabet.letters.index, word)),
         )
 
     def render(self) -> str:
@@ -367,7 +348,7 @@ class _Parser:
             self.advance()
             _bound_words(_longest_word(base) * int(value), pos)
             # past the word bound only a letterless base is left
-            if value > MAX_SCALAR_EXPONENT and base and base**6 != base**0:
+            if value > MAX_SCALAR_EXPONENT and not base.is_zero and base**6 != base**0:
                 limit = MAX_SCALAR_EXPONENT
                 message = f"a scalar power past exponent {limit} is too long to print"
                 raise ParseError(message, pos)
@@ -381,7 +362,7 @@ class _Parser:
         if kind == "name":
             if value == "zeta":
                 return NcPoly.scalar(self.alphabet, ZETA)
-            if len(value) == 1 and value in self.alphabet:
+            if len(value) == 1 and value in self.alphabet.letters:
                 return NcPoly.variable(self.alphabet, value)
             raise ParseError(f"unknown variable {value!r}", pos)
         if kind == "op" and value == "(":
@@ -395,13 +376,9 @@ class _Parser:
         raise ParseError("expected a variable, number, 'zeta' or '('", pos)
 
 
-def parse(text: str, alphabet: Alphabet | str) -> NcPoly:
-    """Parse an expression into a polynomial over the given alphabet."""
-    if isinstance(alphabet, str):
-        try:
-            alphabet = ALPHABETS[alphabet]
-        except KeyError:
-            raise ValueError(f"unknown alphabet {alphabet!r}") from None
+def parse(text: str, alphabet: Alphabet) -> NcPoly:
+    """Parse an expression into a polynomial over `alphabet`, an `Alphabet`
+    such as `XY` or `WZX` (the CLI looks names up in `ALPHABETS`)."""
     parser = _Parser(_tokenize(text), alphabet)
     out = parser.parse_expr()
     kind, _, pos = parser.peek()

@@ -64,9 +64,9 @@ def normal_form(p: NcPoly) -> NcPoly:
     The whole polynomial is one map from word to coefficient, rewritten in
     rounds: an ordered word is added into the result, and every other word
     has its leftmost reducible pair rewritten once, into the next round's
-    map, where equal words merge.  Any other rewriting order gives the same
-    result, because the rules resolve their one ambiguity (the
-    diamond-lemma test).
+    map, where equal words merge and those that cancel drop out.  Any other
+    rewriting order gives the same result, because the rules resolve their
+    one ambiguity (the diamond-lemma test).
     """
     if p.alphabet != WZX:
         raise AlphabetMismatchError("normal_form expects the w,z,x alphabet")
@@ -84,7 +84,8 @@ def normal_form(p: NcPoly) -> NcPoly:
                 new_word = word[:i] + replacement + word[i + 2 :]
                 assert termination_measure(new_word) < measure
                 rewritten[new_word] = rewritten.get(new_word, ZERO) + coeff * rule_coeff
-        level = rewritten
+        # a word whose merged coefficient cancelled has nothing to rewrite
+        level = {word: coeff for word, coeff in rewritten.items() if coeff}
     return NcPoly(WZX, out)
 
 

@@ -30,7 +30,6 @@ from .picard import twist_divisor
 _X_EXPS = (1, 0, 0, 0, 0, 0)
 _Y_EXPS = (0, 0, 1, 0, 1, 0)
 _LETTER_EXPS = {"x": _X_EXPS, "y": _Y_EXPS}
-_LETTER_DEGREE = {"x": 1, "y": 2}
 
 # word = section-monomial dictionary in degrees 1..6; every entry is
 # reproduced by word_image (tested) and pins the rotation direction
@@ -123,7 +122,7 @@ def word_image(word: str) -> tuple[int, ...]:
         except KeyError:
             raise ValueError(f"words use only 'x' and 'y', got {ch!r}") from None
         exps = monomial_product(exps, rotate_exponents(gen, m))
-        m += _LETTER_DEGREE[ch]
+        m += XY.weight(ch)
     return exps
 
 

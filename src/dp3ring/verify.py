@@ -203,7 +203,8 @@ def check_graded_isomorphism(max_degree: int):
 
 @_check
 def check_hilbert_series(max_degree: int):
-    """Basis counts agree with the series 1/((1-t)(1-t^2)(1-t^3))."""
+    """The series 1/((1-t)(1-t^2)(1-t^3)), expanded here, agrees with the
+    closed-form counts and with the size of the basis in every degree."""
     coeffs = [1] + [0] * max_degree
     for step in (1, 2, 3):
         for i in range(step, max_degree + 1):
@@ -214,6 +215,12 @@ def check_hilbert_series(max_degree: int):
         return f"degrees 0..{max_degree}", [
             f"degree {first}: counted {actual[first]}, series says {coeffs[first]}"
         ]
+    for n, series in enumerate(coeffs):
+        words = len(ore.pbw_basis(n))
+        if words != series:
+            return f"degrees 0..{max_degree}", [
+                f"degree {n}: basis has {words} words, series says {series}"
+            ]
     return f"coefficients 0..{max_degree} match the series", []
 
 
@@ -317,10 +324,11 @@ def check_generation_divisor_table():
     """The divisor table driving the surjectivity argument is reproduced by
     D_r - 2*D_2 - (m+1)*K and satisfies the vanishing criterion rowwise.
 
-    The unbounded ranges are truncated at m = 6 (recorded here); the
-    induction beyond that is a sum-of-amples argument, not a finite check.
+    The unbounded ranges stop at m = GENERATION_TABLE_MAX_M (recorded here);
+    the induction beyond that is a sum-of-amples argument, not a finite check.
     """
-    scope = "6 row families, m up to 6"
+    bound = f"m up to {GENERATION_TABLE_MAX_M}"
+    scope = f"6 row families, {bound}"
     two_d2 = 2 * twist_divisor(2)
     for r, first_m, formula in _GENERATION_TABLE:
         for m in range(first_m, GENERATION_TABLE_MAX_M + 1):
@@ -330,7 +338,7 @@ def check_generation_divisor_table():
                 return scope, [f"r={r}, m={m}: table {listed} != constructed {built}"]
             if not vanishing_criterion(listed):
                 return scope, [f"r={r}, m={m}: vanishing criterion fails for {listed}"]
-    return "6 row families verified for m up to 6 (ranges truncated there)", []
+    return f"6 row families verified for {bound} (ranges truncated there)", []
 
 
 @_check

@@ -21,7 +21,10 @@ DATA = Path(__file__).resolve().parent / "data"
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -171,6 +174,36 @@ def test_divisor_rejects_negative(capsys):
     with pytest.raises(SystemExit) as info:
         main(["divisor", "-3"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        # int() alone read all six of these as numbers
+        (["h0", "٣", "1", "1", "1"], "h0: error: argument a: invalid int value: '٣'"),
+        (["divisor", "٣"], "divisor: error: argument n: invalid _nonneg value: '٣'"),
+        (["divisor", "1_0"], "divisor: error: argument n: invalid _nonneg value: '1_0'"),
+        (["divisor", "+3"], "divisor: error: argument n: invalid _nonneg value: '+3'"),
+        (
+            ["hilbert", "--max-degree", "٣"],
+            "hilbert: error: argument --max-degree: invalid _nonneg value: '٣'",
+        ),
+        (
+            ["verify", "--max-degree", "٦"],
+            "verify: error: argument --max-degree: invalid int value: '٦'",
+        ),
+        # the texts of inputs refused before
+        (["h0", "abc", "1", "1", "1"], "h0: error: argument a: invalid int value: 'abc'"),
+        (["divisor", "abc"], "divisor: error: argument n: invalid _nonneg value: 'abc'"),
+        (["divisor", "--", "-3"], "divisor: error: argument n: must be non-negative"),
+    ],
+)
+def test_integer_arguments_are_ascii_digits(capsys, argv, error):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if "error:" in line] == [f"dp3ring {error}"]
 
 
 def test_h0_of_arbitrary_class(capsys):

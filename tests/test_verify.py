@@ -24,6 +24,7 @@ from dp3ring.verify import (
     check_defining_relations,
     check_generation_divisor_table,
     check_hexagon,
+    check_hilbert_series,
     check_rotation_eigensystem,
     check_rotation_isometry,
     matrix_rank,
@@ -190,6 +191,15 @@ def test_cubic_veronese_reports_unordered_words(monkeypatch):
     check = check_cubic_veronese()
     assert not check.passed
     assert "(x^3)*(x^3) has the unordered word 'xw'" in check.witness
+
+
+def test_hilbert_series_counts_the_basis(monkeypatch):
+    # the closed form still matches the series; only the basis is off
+    real = ore.pbw_basis
+    monkeypatch.setattr(ore, "pbw_basis", lambda n: real(n) + ["wwwww"] * (n == 10))
+    check = check_hilbert_series(12)
+    assert not check.passed
+    assert check.witness == "degree 10: basis has 15 words, series says 14"
 
 
 def test_iso_degree_thirteen_counts():
