@@ -18,7 +18,7 @@ from .ncpoly import ALPHABETS, parse, render_word
 from .picard import DivisorClass, K, chi, h0_formula, is_ample, twist_divisor
 
 
-def _int(text: str, name: str = "int") -> int:
+def _int(text: str) -> int:
     """An integer argument: ASCII digits, "-" first where negatives are
     allowed (int() alone also takes "٣", "1_0", "+3" and spaces)."""
     try:
@@ -26,22 +26,14 @@ def _int(text: str, name: str = "int") -> int:
             return int(text)
     except ValueError:  # past Python's 4,300-digit limit
         pass
-    raise argparse.ArgumentTypeError(f"invalid {name} value: {text!r}")
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def _nonneg(text: str) -> int:
-    value = _int(text, "_nonneg")
+    value = _int(text)
     if value < 0:
         raise argparse.ArgumentTypeError("must be non-negative")
     return value
-
-
-def _emit(args, inputs: dict, result, text: str) -> None:
-    if args.format == "json":
-        payload = {"command": args.command, "inputs": inputs, "result": result}
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        print(text)
 
 
 def _reduce(poly, alphabet: str):
@@ -49,19 +41,17 @@ def _reduce(poly, alphabet: str):
     return ore.xy_to_pbw(poly) if alphabet == "xy" else ore.normal_form(poly)
 
 
-def _cmd_nf(args) -> int:
+# what a subcommand returns to `main`: (inputs, result, text, exit code)
+_Answer = tuple[dict, object, str, int]
+
+
+def _cmd_nf(args) -> _Answer:
     poly = parse(args.expression, ALPHABETS[args.alphabet])
     rendered = _reduce(poly, args.alphabet).render()
-    _emit(
-        args,
-        {"expression": args.expression, "alphabet": args.alphabet},
-        rendered,
-        rendered,
-    )
-    return 0
+    return {"expression": args.expression, "alphabet": args.alphabet}, rendered, rendered, 0
 
 
-def _cmd_divisor(args) -> int:
+def _cmd_divisor(args) -> _Answer:
     div = twist_divisor(args.n)
     euler = chi(div)
     closed = h0_formula(args.n)
@@ -69,49 +59,31 @@ def _cmd_divisor(args) -> int:
     counted = cox.enumerate_sections(div).dimension
     ample = is_ample(div - K)
     h0_text = str(closed) if closed == counted else f"closed={closed} count={counted}"
+    result = {
+        "class": str(div),
+        "chi": euler,
+        "h0_closed": closed,
+        "h0_count": counted,
+        "ample_minus_k": ample,
+    }
     text = f"{div} chi={euler} h0={h0_text} ample(D-K)={'true' if ample else 'false'}"
-    _emit(
-        args,
-        {"n": args.n},
-        {
-            "class": str(div),
-            "chi": euler,
-            "h0_closed": closed,
-            "h0_count": counted,
-            "ample_minus_k": ample,
-        },
-        text,
-    )
-    return 0
+    return {"n": args.n}, result, text, 0
 
 
-def _cmd_h0(args) -> int:
-    div = DivisorClass(args.a, args.b, args.c, args.d)
-    count = cox.section_count(div)
-    _emit(
-        args,
-        {"a": args.a, "b": args.b, "c": args.c, "d": args.d},
-        count,
-        str(count),
-    )
-    return 0
+def _cmd_h0(args) -> _Answer:
+    count = cox.section_count(DivisorClass(args.a, args.b, args.c, args.d))
+    return {"a": args.a, "b": args.b, "c": args.c, "d": args.d}, count, str(count), 0
 
 
-def _cmd_basis(args) -> int:
+def _cmd_basis(args) -> _Answer:
     if args.ring == "R":
         rendered = [render_word(word) for word in ore.pbw_basis(args.n)]
     else:
         rendered = [cox.render_monomial(m) for m in thcr.twist_basis(args.n).basis]
-    _emit(
-        args,
-        {"ring": args.ring, "n": args.n},
-        rendered,
-        ", ".join(rendered),
-    )
-    return 0
+    return {"ring": args.ring, "n": args.n}, rendered, ", ".join(rendered), 0
 
 
-def _cmd_mul(args) -> int:
+def _cmd_mul(args) -> _Answer:
     inputs = {"ring": args.ring, "lhs": args.lhs, "rhs": args.rhs}
     if args.ring == "R":
         alphabet = ALPHABETS[args.alphabet]
@@ -124,30 +96,22 @@ def _cmd_mul(args) -> int:
         left = thcr.section_from_xy(parse(args.lhs, ALPHABETS["xy"]))
         right = thcr.section_from_xy(parse(args.rhs, ALPHABETS["xy"]))
         rendered = thcr.twisted_mul(left, right).render()
-    _emit(args, inputs, rendered, rendered)
-    return 0
+    return inputs, rendered, rendered, 0
 
 
-def _cmd_hilbert(args) -> int:
+def _cmd_hilbert(args) -> _Answer:
     coeffs = ore.hilbert_coeffs(args.max_degree)
-    _emit(
-        args,
-        {"max_degree": args.max_degree},
-        coeffs,
-        ", ".join(str(c) for c in coeffs),
-    )
-    return 0
+    return {"max_degree": args.max_degree}, coeffs, ", ".join(str(c) for c in coeffs), 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> _Answer:
     report = verify.run_all(args.max_degree)
-    _emit(
-        args,
+    return (
         {"max_degree": args.max_degree},
         report.to_dict(include_timing=args.timings),
         report.to_text(include_timing=args.timings),
+        0 if report.all_passed else 1,
     )
-    return 0 if report.all_passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -211,12 +175,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand.  A ValueError, a ParseError among them, is a usage
-    error: bad input, or a result integer past Python's 4,300-digit limit on
-    int-to-string conversion."""
+    """Run one subcommand and print its answer once: the text, or with
+    `--format json` one object {command, inputs, result} with sorted keys.
+    A ValueError, a ParseError among them, is a usage error: bad input, or a
+    result integer past Python's 4,300-digit limit on int-to-string
+    conversion."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        inputs, result, text, code = args.func(args)
+        if args.format == "json":
+            payload = {"command": args.command, "inputs": inputs, "result": result}
+            text = json.dumps(payload, sort_keys=True, indent=2)
+        print(text)
+        return code
     except ValueError as exc:
         message = str(exc)
         if "integer string conversion" in message:

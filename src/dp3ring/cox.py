@@ -73,11 +73,6 @@ def monomial_product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 UNIT = (0, 0, 0, 0, 0, 0)
 
 
-def variable_monomial(name: str) -> tuple[int, ...]:
-    i = VARIABLES.index(name)
-    return tuple(1 if j == i else 0 for j in range(6))
-
-
 def multidegree(exps: tuple[int, ...]) -> DivisorClass:
     """Integer combination of the variable weights by the exponents."""
     a = b = c = d = 0

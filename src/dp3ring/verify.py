@@ -358,7 +358,7 @@ def check_hexagon():
                     f"{cycle[i]}.{cycle[j]} = {actual}, expected {expected}"
                 )
     for name in cox.VARIABLES:
-        mono = cox.variable_monomial(name)
+        mono = cox.parse_monomial(name)
         lhs = cox.multidegree(cox.rotate_exponents(mono))
         rhs = rotate_class(cox.multidegree(mono))
         if lhs != rhs:

@@ -126,11 +126,14 @@ def test_nf_of_a_heavy_word_finishes():
 
 def test_oversized_result_integer_exits_2(capsys):
     # each result holds an integer of more than 4,300 digits, Python's limit
-    # on converting an int to a string
+    # on converting an int to a string, in text and in json
     for argv in (
         ["nf", "--", "2^100000"],
         ["mul", "--ring", "R", "--", "2^20000", "x"],
         ["h0", "1" + "0" * 2200, "0", "0", "0"],
+        ["nf", "--format", "json", "--", "2^100000"],
+        ["mul", "--ring", "R", "--format", "json", "--", "2^20000", "x"],
+        ["h0", "--format", "json", "1" + "0" * 2200, "0", "0", "0"],
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
@@ -181,12 +184,12 @@ def test_divisor_rejects_negative(capsys):
     [
         # int() alone read all six of these as numbers
         (["h0", "٣", "1", "1", "1"], "h0: error: argument a: invalid int value: '٣'"),
-        (["divisor", "٣"], "divisor: error: argument n: invalid _nonneg value: '٣'"),
-        (["divisor", "1_0"], "divisor: error: argument n: invalid _nonneg value: '1_0'"),
-        (["divisor", "+3"], "divisor: error: argument n: invalid _nonneg value: '+3'"),
+        (["divisor", "٣"], "divisor: error: argument n: invalid int value: '٣'"),
+        (["divisor", "1_0"], "divisor: error: argument n: invalid int value: '1_0'"),
+        (["divisor", "+3"], "divisor: error: argument n: invalid int value: '+3'"),
         (
             ["hilbert", "--max-degree", "٣"],
-            "hilbert: error: argument --max-degree: invalid _nonneg value: '٣'",
+            "hilbert: error: argument --max-degree: invalid int value: '٣'",
         ),
         (
             ["verify", "--max-degree", "٦"],
@@ -194,8 +197,13 @@ def test_divisor_rejects_negative(capsys):
         ),
         # the texts of inputs refused before
         (["h0", "abc", "1", "1", "1"], "h0: error: argument a: invalid int value: 'abc'"),
-        (["divisor", "abc"], "divisor: error: argument n: invalid _nonneg value: 'abc'"),
+        (["divisor", "abc"], "divisor: error: argument n: invalid int value: 'abc'"),
         (["divisor", "--", "-3"], "divisor: error: argument n: must be non-negative"),
+        (["basis", "--ring", "B", "abc"], "basis: error: argument n: invalid int value: 'abc'"),
+        (
+            ["hilbert", "--max-degree", "abc"],
+            "hilbert: error: argument --max-degree: invalid int value: 'abc'",
+        ),
     ],
 )
 def test_integer_arguments_are_ascii_digits(capsys, argv, error):
@@ -412,7 +420,9 @@ def test_verify_reaches_cap_forty(capsys):
     assert out.endswith("result: 17/17 checks passed\n")
 
 
-# argv of every call pinned in data/cli_b_side.txt: the B side of the CLI
+# argv of every call pinned in data/cli.txt, the whole CLI apart from
+# argparse's usage errors; the B side comes first, then each of
+# _TEXT_AND_JSON_CASES as text and as json
 _MUL_B_CASES = (
     ("x", "x"),
     ("y", "y"),
@@ -426,19 +436,71 @@ _MUL_B_CASES = (
     ("0", "x"),
     ("x", "w"),
 )
-B_SIDE_ARGVS = (
+_TEXT_AND_JSON_CASES = (
+    ["nf", "--", "x^5 - y*x*y"],
+    ["nf", "--", "y^2 - x*y*x"],
+    ["nf", "--", "1"],
+    ["nf", "--", "0"],
+    ["nf", "--", "y*x"],
+    ["nf", "--", "(x + y)^3"],
+    ["nf", "--", "1/2*x*y - zeta*y*x + 3"],
+    ["nf", "--", "x^14*y"],
+    ["nf", "--alphabet", "wzx", "--", "x*w"],
+    ["nf", "--alphabet", "wzx", "--", "x*z"],
+    ["nf", "--alphabet", "wzx", "--", "z*w"],
+    ["nf", "--alphabet", "wzx", "--", "x*z*w"],
+    ["nf", "--alphabet", "wzx", "--", "(w + x)^3 - 2/3*zeta*z"],
+    ["mul", "--", "y", "x"],
+    ["mul", "--ring", "R", "--", "x^2 - y", "y*x"],
+    ["mul", "--ring", "R", "--", "zeta*x", "-1/2*y + x^3"],
+    ["mul", "--ring", "R", "--", "x^5", "0"],
+    ["mul", "--ring", "R", "--alphabet", "wzx", "--", "x", "w"],
+    ["mul", "--ring", "R", "--alphabet", "wzx", "--", "z + w", "x*z - 1/3"],
+    *(["basis", "--ring", "R", str(n)] for n in range(21)),
+    ["hilbert"],
+    *(["hilbert", "--max-degree", str(n)] for n in (0, 1, 6, 40)),
+    ["h0", "4", "2", "1", "2"],
+    ["h0", "--", "-1", "0", "0", "0"],
+    ["h0", "--", "3", "-1", "0", "2"],
+    ["h0", "--", "-5", "-2", "-2", "-2"],
+    ["h0", "1" + "0" * 2200, "0", "0", "0"],
+    ["h0", "--", "-1" + "0" * 2200, "0", "0", "0"],
+    ["h0", "--", "1" + "0" * 2200, "1" + "0" * 2200, "1" + "0" * 2200, "1" + "0" * 2200],
+    # parse errors
+    ["nf", "--", "x +"],
+    ["nf", "--", "1/0"],
+    ["nf", "--", "x * w"],
+    ["nf", "--", "٣*x"],
+    ["nf", "--", "(" * 260 + "x" + ")" * 260],
+    ["nf", "--", "x^500*x^501"],
+    ["nf", "--", "2^100001"],
+    ["nf", "--alphabet", "wzx", "--", "x*y"],
+    ["mul", "--ring", "B", "--", "1/0", "x"],
+    ["mul", "--ring", "B", "--", "x + y", "x"],
+    ["mul", "--ring", "R", "--", "x", "x^²"],
+    ["verify", "--max-degree", "3"],
+    # results with an integer past 4,300 digits
+    ["nf", "--", "2^100000"],
+    ["mul", "--ring", "R", "--", "2^20000", "x"],
+    ["mul", "--ring", "R", "--alphabet", "wzx", "--", "w", "3^10000"],
+    # the twisted ring reads x,y expressions only
+    ["mul", "--ring", "B", "--alphabet", "wzx", "--", "x", "x"],
+)
+CLI_ARGVS = (
     [["basis", "--ring", "B", str(n)] for n in range(31)]
     + [["basis", "--ring", "B", str(n), "--format", "json"] for n in range(31)]
     + [["divisor", str(n)] for n in range(61)]
     + [["mul", "--ring", "B", "--", lhs, rhs] for lhs, rhs in _MUL_B_CASES]
     + [["mul", "--ring", "B", "--format", "json", "--", lhs, rhs] for lhs, rhs in _MUL_B_CASES]
+    + [["divisor", "--format", "json", str(n)] for n in range(13)]
+    + [argv for case in _TEXT_AND_JSON_CASES for argv in (case, [case[0], "--format", "json", *case[1:]])]
 )
 
 
-def b_side_transcript() -> str:
-    """Exit code, stdout and stderr of every call in B_SIDE_ARGVS."""
+def cli_transcript() -> str:
+    """Exit code, stdout and stderr of every call in CLI_ARGVS."""
     blocks = []
-    for argv in B_SIDE_ARGVS:
+    for argv in CLI_ARGVS:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
@@ -449,9 +511,9 @@ def b_side_transcript() -> str:
     return "".join(blocks)
 
 
-def test_b_side_output_matches_golden_file():
-    # regenerate with `PYTHONPATH=src python tests/test_cli.py > tests/data/cli_b_side.txt`
-    assert b_side_transcript() == (DATA / "cli_b_side.txt").read_text()
+def test_cli_output_matches_golden_file():
+    # regenerate with `PYTHONPATH=src python tests/test_cli.py > tests/data/cli.txt`
+    assert cli_transcript() == (DATA / "cli.txt").read_text()
 
 
 def test_closed_stdout_gives_no_traceback():
@@ -486,4 +548,4 @@ def test_readme_examples_match_cli_output(capsys):
 
 
 if __name__ == "__main__":
-    sys.stdout.write(b_side_transcript())
+    sys.stdout.write(cli_transcript())

@@ -22,7 +22,6 @@ from dp3ring.cox import (
     rotate_exponents,
     rotate_variable,
     section_count,
-    variable_monomial,
 )
 from dp3ring.ncpoly import XY, parse
 from dp3ring.picard import DivisorClass, MINUS_K, intersect, rotate_class, twist_divisor
@@ -33,12 +32,12 @@ monomials = st.tuples(*[st.integers(0, 3) for _ in range(6)])
 
 
 def test_variable_weights():
-    assert multidegree(variable_monomial("X")) == DivisorClass(1, 1, 0, 1)
-    assert multidegree(variable_monomial("Y")) == DivisorClass(1, 0, 1, 1)
-    assert multidegree(variable_monomial("Z")) == DivisorClass(1, 1, 1, 0)
-    assert multidegree(variable_monomial("s")) == DivisorClass(0, -1, 0, 0)
-    assert multidegree(variable_monomial("t")) == DivisorClass(0, 0, -1, 0)
-    assert multidegree(variable_monomial("u")) == DivisorClass(0, 0, 0, -1)
+    assert multidegree(parse_monomial("X")) == DivisorClass(1, 1, 0, 1)
+    assert multidegree(parse_monomial("Y")) == DivisorClass(1, 0, 1, 1)
+    assert multidegree(parse_monomial("Z")) == DivisorClass(1, 1, 1, 0)
+    assert multidegree(parse_monomial("s")) == DivisorClass(0, -1, 0, 0)
+    assert multidegree(parse_monomial("t")) == DivisorClass(0, 0, -1, 0)
+    assert multidegree(parse_monomial("u")) == DivisorClass(0, 0, 0, -1)
 
 
 def test_multidegree_of_products():
