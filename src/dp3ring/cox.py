@@ -117,24 +117,11 @@ def parse_monomial(text: str) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class SectionSpace:
-    """A divisor class together with the sorted monomial basis of its piece.
+    """The monomial basis of one graded piece, in canonical display order
+    (lex on exponent vectors, largest first) as `enumerate_sections`
+    builds it."""
 
-    The basis is strictly sorted in the canonical display order (lex on
-    exponent vectors, largest first), so there are no duplicates.
-    """
-
-    degree: DivisorClass
     basis: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        for prev, cur in zip(self.basis, self.basis[1:]):
-            if not prev > cur:
-                raise ValueError("basis must be strictly sorted")
-        for mono in self.basis:
-            if multidegree(mono) != self.degree:
-                raise ValueError(
-                    f"{render_monomial(mono)} does not have multidegree {self.degree}"
-                )
 
     @property
     def dimension(self) -> int:
@@ -142,25 +129,26 @@ class SectionSpace:
 
 
 def enumerate_sections(div: DivisorClass) -> SectionSpace:
-    """All monomials of multidegree (a, b, c, d), sorted lexicographically.
+    """All monomials of multidegree (a, b, c, d), largest first.
 
     The first coordinate forces i + j + k = a on the X, Y, Z exponents and
     the s, t, u exponents are then the slacks i+k-b, j+k-c, i+j-d, so the
     search space is the O(a^2) triangle; a monomial exists iff all three
-    slacks are non-negative.
+    slacks are non-negative.  So each monomial found has the multidegree by
+    construction, and with i, then j, descending the tuples come out in
+    canonical order, strictly descending.
     """
-    a, b, c, d = div.coords
+    a, b, c, d = div
     found = []
-    for i in range(a + 1):
-        for j in range(a - i + 1):
+    for i in range(a, -1, -1):
+        for j in range(a - i, -1, -1):
             k = a - i - j
             es = i + k - b
             et = j + k - c
             eu = i + j - d
             if es >= 0 and et >= 0 and eu >= 0:
                 found.append((i, j, k, es, et, eu))
-    found.sort(reverse=True)
-    return SectionSpace(div, tuple(found))
+    return SectionSpace(tuple(found))
 
 
 def _clipped_series(lo: int, hi: int, alpha: int, slope: int) -> int:

@@ -1,7 +1,6 @@
 """The graded coordinate ring: weights, section enumeration, rotation."""
 
 import random
-import re
 from fractions import Fraction
 from itertools import product
 
@@ -10,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from dp3ring.cox import (
     IRRELEVANT_PAIRS,
-    SectionSpace,
     UNIT,
     VARIABLES,
     WEIGHT_TABLE,
@@ -24,7 +22,7 @@ from dp3ring.cox import (
     section_count,
 )
 from dp3ring.ncpoly import XY, parse
-from dp3ring.picard import DivisorClass, MINUS_K, intersect, rotate_class, twist_divisor
+from dp3ring.picard import DivisorClass, intersect, rotate_class, twist_divisor
 from dp3ring.thcr import GradedSection, section_from_xy, twisted_mul
 
 
@@ -96,12 +94,17 @@ def test_section_counts():
 
 
 def test_section_count_matches_the_enumerated_basis():
-    # oracle: the monomials themselves, over classes with negative entries too
+    # oracle: the monomials themselves, over classes with negative entries
+    # too; each basis is strictly descending, hence free of duplicates, and
+    # every monomial in it has the class as its multidegree
     coords = range(-3, 8)
     for a in range(-2, 9):
         for b, c, d in product(coords, coords, coords):
             div = DivisorClass(a, b, c, d)
-            assert section_count(div) == len(enumerate_sections(div).basis), div
+            basis = enumerate_sections(div).basis
+            assert section_count(div) == len(basis), div
+            assert all(prev > cur for prev, cur in zip(basis, basis[1:])), div
+            assert all(multidegree(mono) == div for mono in basis), div
 
 
 def _section_count_by_rows(div):
@@ -121,21 +124,6 @@ def test_section_count_closed_form_matches_the_row_sums():
         b, c, d = (rng.randint(-a - 20, a + 20) for _ in range(3))
         div = DivisorClass(a, b, c, d)
         assert section_count(div) == _section_count_by_rows(div), div
-
-
-def test_basis_is_strictly_sorted_descending():
-    basis = enumerate_sections(MINUS_K).basis
-    assert all(prev > cur for prev, cur in zip(basis, basis[1:]))
-
-
-def test_section_space_invariant_enforced():
-    # the message names the monomial as rendered, not as a raw tuple
-    message = "1 does not have multidegree (1,1,0,0)"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        SectionSpace(DivisorClass(1, 1, 0, 0), (parse_monomial("1"),))
-    ok = enumerate_sections(DivisorClass(1, 1, 0, 0))
-    with pytest.raises(ValueError, match="^basis must be strictly sorted$"):
-        SectionSpace(ok.degree, tuple(reversed(ok.basis)))
 
 
 def test_rotation_of_variables():
