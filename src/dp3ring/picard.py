@@ -21,8 +21,7 @@ class DivisorClass(tuple):
 
     An immutable value: equal and hashable only against other classes,
     never ordered, never equal to a plain tuple.  It is a tuple underneath
-    so that building one is cheap; the lattice checks build millions.
-    """
+    so that building one is cheap; `twist_divisor(n)` builds 2n of them."""
 
     __slots__ = ()
 
@@ -165,7 +164,8 @@ def chi(div: DivisorClass) -> int:
 
 
 def is_ample(div: DivisorClass) -> bool:
-    """Nakai-Moishezon against the six effective-cone generators."""
+    """Nakai-Moishezon against the six effective-cone generators; reads only
+    the four coordinates, so any 4-sequence of ints will do."""
     # `intersect` written out: the ample-criterion box calls this 50,625 times
     a, b, c, d = div
     if a * a - b * b - c * c - d * d <= 0:
@@ -179,8 +179,8 @@ def is_ample(div: DivisorClass) -> bool:
 def vanishing_criterion(div: DivisorClass) -> bool:
     """Numeric test equivalent to D - K ample, hence h1(D) = h2(D) = 0.
 
-    Expands the Nakai-Moishezon inequalities for D - K coordinatewise.
-    """
+    Expands the Nakai-Moishezon inequalities for D - K coordinatewise; reads
+    only the four coordinates, so any 4-sequence of ints will do."""
     a, b, c, d = div
     # the sign tests first: they are cheaper than the quadric
     if b <= -1 or c <= -1 or d <= -1:

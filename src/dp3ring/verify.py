@@ -492,18 +492,18 @@ def check_ample_criterion_box():
     """The coordinate vanishing criterion agrees with Nakai-Moishezon for
     D - K on the whole box [-5, 9]^4.
 
-    C iterators drive the sweep: moving each coordinate range by -K gives
-    the box of D - K, which `product` walks in the same order, so the n-th
-    class of one box is the n-th class of the other minus K."""
+    C iterators sweep the box and the box moved by -K in the same order.
+    The predicates get `product`'s own tuples, which it reuses once they
+    are dropped, so nothing is built per class; only a witness becomes a
+    DivisorClass."""
     span = range(-5, 10)
-    classes = functools.partial(tuple.__new__, DivisorClass)
-    box = map(classes, product(span, repeat=4))
-    moved = map(classes, product(*(range(span.start - k, span.stop - k) for k in K)))
+    box = product(span, repeat=4)
+    moved = product(*(range(span.start - k, span.stop - k) for k in K))
     disagree = map(ne, map(vanishing_criterion, box), map(is_ample, moved))
     tested = next(compress(count(1), disagree), None)
     if tested is None:
         return f"{len(span) ** 4} classes in [-5,9]^4 agree", []
-    div = next(islice(map(classes, product(span, repeat=4)), tested - 1, None))
+    div = DivisorClass(*next(islice(product(span, repeat=4), tested - 1, None)))
     witness = f"criterion and ampleness of D - K disagree at {div}"
     return f"{tested} classes tested", [witness]
 

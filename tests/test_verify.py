@@ -5,6 +5,7 @@ import io
 import json
 import re
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -166,6 +167,24 @@ def test_ample_criterion_box_edges(monkeypatch, name, corner, tested, witness):
     assert check.witness == f"criterion and ampleness of D - K disagree at {witness}"
 
 
+def test_ample_criterion_box_judges_every_class_in_order(monkeypatch):
+    seen = {"vanishing_criterion": [], "is_ample": []}
+    for name, classes in seen.items():
+        real = getattr(verify, name)
+
+        # a plain tuple, which a DivisorClass never equals
+        def record(div, real=real, classes=classes):
+            classes.append(tuple(div))
+            return real(div)
+
+        monkeypatch.setattr(verify, name, record)
+    assert check_ample_criterion_box().passed
+    box = list(product(range(-5, 10), repeat=4))
+    assert seen["vanishing_criterion"] == box
+    # is_ample sees D - K for each D of the box, in the box's order
+    assert seen["is_ample"] == [tuple(x - k for x, k in zip(div, picard.K)) for div in box]
+
+
 def test_matrix_rank_on_known_matrices():
     one = CycNum(1)
     zero = CycNum(0)
@@ -250,7 +269,7 @@ def _normal_form(mp):
 
 def _vanishing_criterion(mp):
     real = verify.vanishing_criterion
-    mp.setattr(verify, "vanishing_criterion", lambda div: real(div) and div.a < 4)
+    mp.setattr(verify, "vanishing_criterion", lambda div: real(div) and div[0] < 4)
 
 
 # every check fails under at least one of these, and graded_isomorphism
