@@ -11,6 +11,7 @@ combinatorial ampleness and vanishing tests.
 
 from __future__ import annotations
 
+from itertools import islice
 from operator import itemgetter
 
 from .cyclotomic import CycNum, OMEGA
@@ -140,17 +141,20 @@ def rotate_class_power(div: DivisorClass, times: int) -> DivisorClass:
     return div
 
 
-def twist_divisor(n: int) -> DivisorClass:
-    """Class of the n-th twisting bundle: the orbit sum of the first one.
+def twist_divisors():
+    """Classes D_0, D_1, ... of the twisting bundles, each the orbit sum of
+    the first, by the linear recursion D_0 = 0, D_{n+1} = D_1 + rot(D_n)."""
+    div = ZERO_CLASS
+    while True:
+        yield div
+        div = FIRST_TWIST + rotate_class(div)
 
-    Computed by the linear recursion D_0 = 0, D_{n+1} = D_1 + rot(D_n).
-    """
+
+def twist_divisor(n: int) -> DivisorClass:
+    """Class of the n-th twisting bundle: the n-th of `twist_divisors`."""
     if n < 0:
         raise ValueError("twist index must be non-negative")
-    div = ZERO_CLASS
-    for _ in range(n):
-        div = FIRST_TWIST + rotate_class(div)
-    return div
+    return next(islice(twist_divisors(), n, None))
 
 
 def chi(div: DivisorClass) -> int:

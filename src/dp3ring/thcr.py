@@ -179,31 +179,24 @@ def section_from_xy(p: NcPoly) -> GradedSection:
     return GradedSection(degree, terms)
 
 
-def _cover(n: int, k: int) -> set[tuple[int, ...]]:
-    """Twisted products of the degree-k basis with rot^k of the
-    degree-(n+2-k) basis: the part of degree n+2 reached from degree k."""
-    rest = twist_basis(n + 2 - k).basis
-    return {
-        monomial_product(a, rotate_exponents(b, k))
-        for a in twist_basis(k).basis
-        for b in rest
-    }
+def _cover(left, right, k: int) -> set[tuple[int, ...]]:
+    """Twisted products of the degree-k monomials `left` with rot^k of `right`."""
+    return {monomial_product(a, rotate_exponents(b, k)) for a in left for b in right}
 
 
-def degree_two_covers(n: int) -> bool:
-    """True iff products of degree-2 basis monomials with rot^2 of the
-    degree-n basis already cover the whole degree-(n+2) basis."""
-    return set(twist_basis(n + 2).basis) <= _cover(n, 2)
+def degree_two_covers(quadratic, lower, target) -> bool:
+    """True iff products of the degree-2 basis `quadratic` with rot^2 of the
+    degree-n basis `lower` already cover `target`, the degree-(n+2) basis."""
+    return set(target) <= _cover(quadratic, lower, 2)
 
 
-def check_generation(n: int) -> bool:
-    """True iff the degree-(n+2) basis is covered by twisted products with a
-    degree-1 or degree-2 monomial on the left.
+def check_generation(linear, quadratic, lower, middle, target) -> bool:
+    """True iff `target`, the degree-(n+2) basis, is covered by twisted
+    products of `quadratic` with the degree-n basis `lower` or of the
+    degree-1 basis `linear` with the degree-(n+1) basis `middle`.
 
     The quadratic products alone suffice except in degree three, where the
     linear generator is also needed (x*y is not a product of degree-2 by
     degree-1 elements).
     """
-    if n < 0:
-        raise ValueError("degree must be non-negative")
-    return set(twist_basis(n + 2).basis) <= _cover(n, 2) | _cover(n, 1)
+    return set(target) <= _cover(quadratic, lower, 2) | _cover(linear, middle, 1)

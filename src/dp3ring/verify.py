@@ -33,6 +33,7 @@ from .picard import (
     rotate_class_power,
     rotation_eigensystem,
     twist_divisor,
+    twist_divisors,
     vanishing_criterion,
 )
 
@@ -177,11 +178,10 @@ def check_defining_relations():
 
 
 @_check
-def check_graded_isomorphism(max_degree: int):
+def check_graded_isomorphism(max_degree: int, twists, dims):
     """In each degree the basis count matches the section count and the word
     images cover the monomial basis exactly."""
     scope = f"degrees 0..{max_degree}"
-    dims = []
     fib = [1, 1]
     while len(fib) <= max_degree:
         fib.append(fib[-1] + fib[-2])
@@ -190,19 +190,17 @@ def check_graded_isomorphism(max_degree: int):
             return scope, [
                 f"word enumerator produced {count} words of degree {n}, expected {fib[n]}"
             ]
-        basis = set(thcr.twist_basis(n).basis)
-        dim = len(ore.pbw_basis(n))
-        if dim != len(basis) or images != basis:
+        basis = set(cox.enumerate_sections(twists[n]).basis)
+        if dims[n] != len(basis) or images != basis:
             return scope, [
-                f"degree {n}: basis dim {dim}, section dim {len(basis)}, "
+                f"degree {n}: basis dim {dims[n]}, section dim {len(basis)}, "
                 f"image set {'equal' if images == basis else 'different'}"
             ]
-        dims.append(dim)
     return f"{scope}: dims {dims[:7]}... and image sets match", []
 
 
 @_check
-def check_hilbert_series(max_degree: int):
+def check_hilbert_series(max_degree: int, dims):
     """The series 1/((1-t)(1-t^2)(1-t^3)), expanded here, agrees with the
     closed-form counts and with the size of the basis in every degree."""
     coeffs = [1] + [0] * max_degree
@@ -215,8 +213,7 @@ def check_hilbert_series(max_degree: int):
         return f"degrees 0..{max_degree}", [
             f"degree {first}: counted {actual[first]}, series says {coeffs[first]}"
         ]
-    for n, series in enumerate(coeffs):
-        words = len(ore.pbw_basis(n))
+    for n, (words, series) in enumerate(zip(dims, coeffs)):
         if words != series:
             return f"degrees 0..{max_degree}", [
                 f"degree {n}: basis has {words} words, series says {series}"
@@ -225,14 +222,14 @@ def check_hilbert_series(max_degree: int):
 
 
 @_check
-def check_dimension_match(max_degree: int):
+def check_dimension_match(max_degree: int, twists, dims):
     """Basis count, section count, closed form and Euler characteristic all
     agree in every degree."""
     scope = f"degrees 0..{max_degree}"
     for n in range(max_degree + 1):
-        div = twist_divisor(n)
+        div = twists[n]
         values = (
-            len(ore.pbw_basis(n)),
+            dims[n],
             cox.section_count(div),
             h0_formula(n),
             chi(div),
@@ -273,14 +270,14 @@ def check_cubic_veronese():
 
 
 @_check
-def check_anticanonical_cone(max_degree: int):
+def check_anticanonical_cone(max_degree: int, dims):
     """Degrees divisible by six match the section counts of multiples of the
     anticanonical class, with values 3n^2 + 3n + 1."""
     scope = f"multiples 0..{max_degree // 6}"
     seen = []
     for n in range(max_degree // 6 + 1):
         values = (
-            len(ore.pbw_basis(6 * n)),
+            dims[6 * n],
             cox.section_count(n * MINUS_K),
             3 * n * n + 3 * n + 1,
         )
@@ -291,17 +288,21 @@ def check_anticanonical_cone(max_degree: int):
 
 
 @_check
-def check_generation(max_degree: int):
+def check_generation(max_degree: int, twists):
     """Every degree is covered by twisted products with degree-1 and degree-2
-    monomials; the quadratic part alone suffices except in degree three."""
+    monomials; the quadratic part alone suffices except in degree three.
+    Each basis is enumerated once, in a window of degrees n, n+1, n+2."""
     scope = f"degrees 0..{max_degree - 2}"
     need_linear = []
-    for n in range(max_degree - 1):
-        if thcr.degree_two_covers(n):
-            continue
-        if not thcr.check_generation(n):
-            return scope, [f"degree {n + 2} not generated"]
-        need_linear.append(n + 2)
+    bases = (cox.enumerate_sections(twists[n]).basis for n in range(max_degree + 1))
+    lower, middle = next(bases), next(bases)
+    linear, quadratic = middle, cox.enumerate_sections(twists[2]).basis
+    for n, target in enumerate(bases):
+        if not thcr.degree_two_covers(quadratic, lower, target):
+            if not thcr.check_generation(linear, quadratic, lower, middle, target):
+                return scope, [f"degree {n + 2} not generated"]
+            need_linear.append(n + 2)
+        lower, middle = middle, target
     return f"{scope} generated; linear part needed only in degrees {need_linear}", []
 
 
@@ -445,42 +446,42 @@ def check_twist_divisor_table():
 
 
 @_check
-def check_orbit_sum_identity(max_degree: int):
+def check_orbit_sum_identity(max_degree: int, twists):
     """Twist divisors repeat modulo six up to anticanonical shifts:
     D(6m+r) = D(r) - m*K."""
     scope = f"twists 0..{max_degree}"
     for n in range(max_degree + 1):
         m, r = divmod(n, 6)
-        if twist_divisor(n) != twist_divisor(r) - m * K:
+        if twists[n] != twists[r] - m * K:
             return scope, [f"twist {n} != twist {r} - {m}K"]
     return f"{scope}: D(6m+r) = D(r) - mK", []
 
 
 @_check
-def check_euler_char_step(max_degree: int):
+def check_euler_char_step(max_degree: int, twists):
     """chi grows by n + 6 across a full rotation period."""
     scope = f"degrees 0..{max_degree}"
     for n in range(max_degree + 1):
-        step = chi(twist_divisor(n + 6)) - chi(twist_divisor(n))
+        step = chi(twists[n + 6]) - chi(twists[n])
         if step != n + 6:
             return scope, [f"degree {n}: chi step {step} != {n + 6}"]
     return f"{scope}: chi(D(n+6)) - chi(D(n)) = n + 6", []
 
 
 @_check
-def check_twist_ampleness(max_degree: int):
+def check_twist_ampleness(max_degree: int, twists):
     """D(n) - K is ample for every n >= 2 up to the cap; the vanishing
     criterion holds for twists 0, 2..7 and fails exactly at twist 1."""
     problems = []
     for n in (0, 2, 3, 4, 5, 6, 7):
-        if not vanishing_criterion(twist_divisor(n)):
+        if not vanishing_criterion(twists[n]):
             problems.append(f"vanishing criterion fails at twist {n}")
-    if vanishing_criterion(twist_divisor(1)):
+    if vanishing_criterion(twists[1]):
         problems.append("vanishing criterion unexpectedly holds at twist 1")
-    if is_ample(twist_divisor(1) - K):
+    if is_ample(twists[1] - K):
         problems.append("D(1) - K is not expected to be ample")
     for n in range(2, max_degree + 1):
-        if not is_ample(twist_divisor(n) - K):
+        if not is_ample(twists[n] - K):
             problems.append(f"D({n}) - K is not ample")
             break
     detail = f"D(n) - K ample for 2 <= n <= {max_degree}; twist 1 is the known exception"
@@ -511,29 +512,36 @@ def check_ample_criterion_box():
 def run_all(max_degree: int = 24) -> VerificationReport:
     """Run every check at the given degree cap and aggregate a report.
 
+    The checks that walk the degrees share two tables built once here:
+    `twists`, D(0..cap+6) by the recursion, and `dims`, the PBW basis count
+    of each degree.  Building them is outside every check's timing: about
+    0.2 ms at cap 24, 17 ms at cap 120 and 0.23 s at cap 300, mostly `dims`.
+
     Failures are recorded, never raised; two runs produce identical reports.
     """
     if max_degree < 6:
         raise ValueError("max_degree must be at least 6")
+    twists = list(islice(twist_divisors(), max_degree + 7))
+    dims = [len(ore.pbw_basis(n)) for n in range(max_degree + 1)]
     return VerificationReport(
         max_degree,
         [
             check_defining_relations(),
-            check_graded_isomorphism(max_degree),
-            check_hilbert_series(max_degree),
-            check_dimension_match(max_degree),
+            check_graded_isomorphism(max_degree, twists, dims),
+            check_hilbert_series(max_degree, dims),
+            check_dimension_match(max_degree, twists, dims),
             check_cubic_veronese(),
-            check_anticanonical_cone(max_degree),
-            check_generation(max_degree),
+            check_anticanonical_cone(max_degree, dims),
+            check_generation(max_degree, twists),
             check_generation_divisor_table(),
             check_hexagon(),
             check_rotation_order(),
             check_rotation_isometry(),
             check_rotation_eigensystem(),
             check_twist_divisor_table(),
-            check_orbit_sum_identity(max_degree),
-            check_euler_char_step(max_degree),
-            check_twist_ampleness(max_degree),
+            check_orbit_sum_identity(max_degree, twists),
+            check_euler_char_step(max_degree, twists),
+            check_twist_ampleness(max_degree, twists),
             check_ample_criterion_box(),
         ],
     )

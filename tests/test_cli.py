@@ -403,9 +403,9 @@ def test_identical_invocations_are_byte_identical(capsys):
 
 
 def test_verify_report_matches_golden_files(capsys):
-    # the files hold the cap-12 and default cap-24 reports, text and json,
-    # byte for byte
-    for cap in ("12", "24"):
+    # the files hold the cap-12, default cap-24 and cap-120 reports, text and
+    # json, byte for byte
+    for cap in ("12", "24", "120"):
         for fmt in ("text", "json"):
             code, out, _ = run_cli(capsys, "verify", "--max-degree", cap, "--format", fmt)
             assert code == 0

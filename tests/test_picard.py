@@ -28,6 +28,7 @@ from dp3ring.picard import (
     rotate_class_power,
     rotation_eigensystem,
     twist_divisor,
+    twist_divisors,
     vanishing_criterion,
 )
 
@@ -98,13 +99,13 @@ def test_twist_divisor_table():
 
 def test_twist_divisor_orbit_sum():
     # D_n as the explicit orbit sum, independently of the recursion
-    for n in range(20):
+    for n, div in zip(range(20), twist_divisors()):
         total = DivisorClass(0, 0, 0, 0)
         power = twist_divisor(1)
         for _ in range(n):
             total = total + power
             power = rotate_class(power)
-        assert twist_divisor(n) == total
+        assert twist_divisor(n) == div == total
 
 
 def test_twist_divisor_period_identity():

@@ -174,18 +174,20 @@ def test_degree_additivity_of_twist_divisors():
 
 
 def test_generation_of_low_and_mid_degrees():
+    linear, quadratic = twist_basis(1).basis, twist_basis(2).basis
     for n in range(23):
-        assert check_generation(n), n
+        lower, middle, target = (twist_basis(n + i).basis for i in range(3))
+        assert check_generation(linear, quadratic, lower, middle, target), n
 
 
 def test_quadratic_cover_fails_only_in_degree_three():
-    missing = [n for n in range(23) if not degree_two_covers(n)]
+    quadratic = twist_basis(2).basis
+    missing = [
+        n
+        for n in range(23)
+        if not degree_two_covers(quadratic, twist_basis(n).basis, twist_basis(n + 2).basis)
+    ]
     assert missing == [1]
-
-
-def test_generation_rejects_negative():
-    with pytest.raises(ValueError):
-        check_generation(-1)
 
 
 def test_degree_two_sections_have_disjoint_zero_loci():
