@@ -14,7 +14,7 @@ import signal
 import sys
 
 from . import cox, ore, thcr, verify
-from .ncpoly import ALPHABETS, parse, render_word
+from .ncpoly import ALPHABETS, MAX_WORD_LENGTH, parse, render_word
 from .picard import DivisorClass, K, chi, h0_formula, is_ample, twist_divisor
 
 
@@ -33,6 +33,15 @@ def _nonneg(text: str) -> int:
     value = _int(text)
     if value < 0:
         raise argparse.ArgumentTypeError("must be non-negative")
+    return value
+
+
+def _degree(text: str) -> int:
+    """A degree of `basis` or `divisor`: a degree-n element is a sum of words
+    of up to n letters, and the parser refuses longer words too."""
+    value = _nonneg(text)
+    if value > MAX_WORD_LENGTH:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_WORD_LENGTH}")
     return value
 
 
@@ -134,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_nf)
 
     p = sub.add_parser("divisor", help="summary of the n-th twist divisor")
-    p.add_argument("n", type=_nonneg)
+    p.add_argument("n", type=_degree)
     add_format(p)
     p.set_defaults(func=_cmd_divisor)
 
@@ -146,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("basis", help="monomial basis of a graded piece")
     p.add_argument("--ring", choices=("R", "B"), required=True)
-    p.add_argument("n", type=_nonneg)
+    p.add_argument("n", type=_degree)
     add_format(p)
     p.set_defaults(func=_cmd_basis)
 

@@ -3,10 +3,15 @@ degree-six del Pezzo surface.
 
 Each variable cuts out one of the six -1-curves and its multidegree is that
 curve's divisor class; the graded piece in degree D is spanned by the
-monomials of multidegree D, which this module enumerates directly.  The
-cyclic rotation X -> u -> Y -> t -> Z -> s -> X of the variables realizes
-the hexagon symmetry on sections and matches the lattice rotation on
-multidegrees; `_ROT_IMAGE` states one step, and one table of its six powers
+monomials of multidegree D.  For D = (a, b, c, d) a monomial is fixed by its
+X and Y exponents i, j: those of Z, s, t, u are then a - i - j, a - j - b,
+a - i - c and i + j - d.  So the monomials are the lattice points of one
+polygon, the box 0 <= i <= a - c, 0 <= j <= a - b cut by the strip
+d <= i + j <= a (Cox-Little-Schenck, Toric Varieties, Prop. 4.3.3), which
+`enumerate_sections` walks and `section_count` counts.  The cyclic rotation
+X -> u -> Y -> t -> Z -> s -> X of the variables realizes the hexagon
+symmetry on sections and matches the lattice rotation on multidegrees;
+`_ROT_IMAGE` states one step, and one table of its six powers
 rotates both a variable and an exponent vector.
 
 A monomial is its exponent 6-tuple in the variable order X, Y, Z, s, t, u;
@@ -129,65 +134,36 @@ class SectionSpace:
 
 
 def enumerate_sections(div: DivisorClass) -> SectionSpace:
-    """All monomials of multidegree (a, b, c, d), largest first.
-
-    The first coordinate forces i + j + k = a on the X, Y, Z exponents and
-    the s, t, u exponents are then the slacks i+k-b, j+k-c, i+j-d, so the
-    search space is the O(a^2) triangle; a monomial exists iff all three
-    slacks are non-negative.  So each monomial found has the multidegree by
-    construction, and with i, then j, descending the tuples come out in
-    canonical order, strictly descending.
-    """
+    """All monomials of multidegree `div`, one per lattice point (i, j) of its
+    polygon; i, then j, descending gives canonical order, strictly descending."""
     a, b, c, d = div
     found = []
-    for i in range(a, -1, -1):
-        for j in range(a - i, -1, -1):
-            k = a - i - j
-            es = i + k - b
-            et = j + k - c
-            eu = i + j - d
-            if es >= 0 and et >= 0 and eu >= 0:
-                found.append((i, j, k, es, et, eu))
+    for i in range(min(a, a - c), -1, -1):
+        for j in range(min(a - b, a - i), max(0, d - i) - 1, -1):
+            found.append((i, j, a - i - j, a - j - b, a - i - c, i + j - d))
     return SectionSpace(tuple(found))
 
 
-def _clipped_series(lo: int, hi: int, alpha: int, slope: int) -> int:
-    """Sum of max(0, alpha + slope*i) over the integers lo <= i <= hi, for
-    slope -1, 0 or 1: an arithmetic series over the i where it is positive."""
-    if slope > 0:
-        lo = max(lo, 1 - alpha)
-    elif slope < 0:
-        hi = min(hi, alpha - 1)
-    elif alpha <= 0:
-        return 0
-    if lo > hi:
-        return 0
-    return (hi - lo + 1) * (2 * alpha + slope * (lo + hi)) // 2
+def _triangle(n: int) -> int:
+    """Number of lattice points i, j >= 0 with i + j <= n."""
+    return (n + 1) * (n + 2) // 2 if n >= 0 else 0
 
 
 def section_count(div: DivisorClass) -> int:
-    """Dimension of the graded piece in degree D, in closed form.
-
-    With the slacks of `enumerate_sections`, t's exponent a-i-c is free of j,
-    s's exponent a-j-b bounds j above and u's exponent i+j-d bounds it below,
-    so for each admissible i the valid j form the interval
-    max(0, d-i) <= j <= min(j_max, a-i).  Its length is linear in i between
-    the breaks i = a - j_max and i = d, so the count is a sum of at most
-    three clipped arithmetic series.
-    """
+    """Dimension of the graded piece in degree `div`: the lattice points of
+    its polygon, by inclusion-exclusion over triangles."""
     a, b, c, d = div
-    j_max = min(a, a - b)
-    i_max = min(a, a - c)
-    if i_max < 0:
+    i_max, j_max = a - c, a - b
+    if i_max < 0 or j_max < 0:
         return 0
-    breaks = (a - j_max + 1, d + 1)
-    cuts = sorted({0, i_max + 1} | {x for x in breaks if 0 < x <= i_max})
-    count = 0
-    for left, right in zip(cuts, cuts[1:]):
-        # the upper end is j_max, then a - i; the lower end d - i, then 0
-        top, top_slope = (j_max, 0) if left <= a - j_max else (a, -1)
-        bottom, bottom_slope = (d, -1) if left <= d else (0, 0)
-        count += _clipped_series(
-            left, right - 1, top - bottom + 1, top_slope - bottom_slope
+
+    def below(s: int) -> int:
+        # points of the box with i + j <= s
+        return (
+            _triangle(s)
+            - _triangle(s - i_max - 1)
+            - _triangle(s - j_max - 1)
+            + _triangle(s - i_max - j_max - 2)
         )
-    return count
+
+    return max(0, below(a) - below(d - 1))

@@ -204,6 +204,11 @@ def test_divisor_rejects_negative(capsys):
             ["hilbert", "--max-degree", "abc"],
             "hilbert: error: argument --max-degree: invalid int value: 'abc'",
         ),
+        # a degree-n element is a sum of words of up to n letters, and the
+        # parser refuses words of more than MAX_WORD_LENGTH = 1000
+        (["divisor", "1001"], "divisor: error: argument n: must be at most 1000"),
+        (["basis", "--ring", "R", "1001"], "basis: error: argument n: must be at most 1000"),
+        (["basis", "--ring", "B", "1001"], "basis: error: argument n: must be at most 1000"),
     ],
 )
 def test_integer_arguments_are_ascii_digits(capsys, argv, error):
@@ -212,6 +217,12 @@ def test_integer_arguments_are_ascii_digits(capsys, argv, error):
     assert out == ""
     assert "Traceback" not in err
     assert [line for line in err.splitlines() if "error:" in line] == [f"dp3ring {error}"]
+
+
+def test_divisor_at_the_word_length_limit(capsys):
+    code, out, _ = run_cli(capsys, "divisor", f"{MAX_WORD_LENGTH}")
+    assert code == 0
+    assert out == "(500,167,166,167) chi=83834 h0=83834 ample(D-K)=true\n"
 
 
 def test_h0_of_arbitrary_class(capsys):
