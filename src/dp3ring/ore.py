@@ -35,14 +35,17 @@ REWRITE_RULES: dict[str, tuple[tuple[CycNum, str], ...]] = {
 
 
 def termination_measure(word: str) -> tuple[int, int, int]:
-    """(#x, #z, inversions); rewriting strictly decreases this, lexicographically."""
-    inversions = 0
-    for i, ch in enumerate(word):
-        if ch == "x":
-            inversions += sum(1 for other in word[i + 1 :] if other in "wz")
-        elif ch == "z":
-            inversions += sum(1 for other in word[i + 1 :] if other == "w")
-    return (word.count("x"), word.count("z"), inversions)
+    """(#x, #z, inversions), counted from the right; rewriting lowers it."""
+    w = z = inversions = 0
+    for letter in reversed(word):
+        if letter == "x":
+            inversions += w + z
+        elif letter == "z":
+            z += 1
+            inversions += w
+        else:
+            w += 1
+    return (len(word) - w - z, z, inversions)
 
 
 def _find_redex(word: str) -> int | None:

@@ -168,16 +168,14 @@ def chi(div: DivisorClass) -> int:
 
 
 def is_ample(div: DivisorClass) -> bool:
-    """Nakai-Moishezon against the six effective-cone generators; reads only
-    the four coordinates, so any 4-sequence of ints will do."""
-    # `intersect` written out: the ample-criterion box calls this 50,625 times
+    """Nakai-Moishezon against EFFECTIVE_GENERATORS, `intersect` written out
+    for the box's 50,625 calls; any 4-sequence of ints will do."""
     a, b, c, d = div
-    if a * a - b * b - c * c - d * d <= 0:
-        return False
-    for e, f, g, h in EFFECTIVE_GENERATORS:
-        if a * e - b * f - c * g - d * h <= 0:
-            return False
-    return True
+    return (
+        b > 0 and c > 0 and d > 0  # D.E2, D.E1, D.E3
+        and a > b + d and a > c + d and a > b + c  # D.L1, D.L2, D.L3
+        and a * a > b * b + c * c + d * d  # D.D
+    )
 
 
 def vanishing_criterion(div: DivisorClass) -> bool:
@@ -186,12 +184,11 @@ def vanishing_criterion(div: DivisorClass) -> bool:
     Expands the Nakai-Moishezon inequalities for D - K coordinatewise; reads
     only the four coordinates, so any 4-sequence of ints will do."""
     a, b, c, d = div
-    # the sign tests first: they are cheaper than the quadric
-    if b <= -1 or c <= -1 or d <= -1:
+    # the sign tests first, cheaper than `is_ample`'s quadric and lines at D - K
+    if b < 0 or c < 0 or d < 0:
         return False
-    if (a + 3) ** 2 <= (b + 1) ** 2 + (c + 1) ** 2 + (d + 1) ** 2:
-        return False
-    return a + 1 > b + c and a + 1 > b + d and a + 1 > c + d
+    a, b, c, d = a + 3, b + 1, c + 1, d + 1
+    return a * a > b * b + c * c + d * d and a > b + d and a > c + d and a > b + c
 
 
 def h0_formula(n: int) -> int:

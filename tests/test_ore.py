@@ -1,5 +1,6 @@
 """The rewriting engine: rules, termination, the diamond lemma, basis counts."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -95,6 +96,50 @@ def test_termination_measure_values():
     assert termination_measure("xw") == (1, 0, 1)
     assert termination_measure("xzw") == (1, 1, 3)
     assert termination_measure("zwxw") == (1, 1, 3)
+
+
+def pair_count_measure(word):
+    """The oracle: (#x, #z, inversions), each inversion an x-before-w,
+    x-before-z or z-before-w pair counted on its own."""
+    inversions = 0
+    for i, ch in enumerate(word):
+        if ch == "x":
+            inversions += sum(1 for other in word[i + 1 :] if other in "wz")
+        elif ch == "z":
+            inversions += sum(1 for other in word[i + 1 :] if other == "w")
+    return (word.count("x"), word.count("z"), inversions)
+
+
+def test_termination_measure_counts_pairs_on_short_words():
+    for length in range(10):
+        for letters in itertools.product("wzx", repeat=length):
+            word = "".join(letters)
+            assert termination_measure(word) == pair_count_measure(word), word
+
+
+@given(word=st.text(alphabet=["w", "z", "x"], max_size=200))
+def test_termination_measure_counts_pairs(word):
+    assert termination_measure(word) == pair_count_measure(word)
+
+
+def test_normal_form_asserts_the_measure_drops(monkeypatch):
+    monkeypatch.setattr(ore, "termination_measure", lambda word: (0, 0, 0))
+    with pytest.raises(AssertionError):
+        normal_form(wzx("x*w"))
+
+
+def test_normal_form_measures_each_rewritten_word_and_replacement(monkeypatch):
+    measured = []
+
+    def recording_measure(word):
+        measured.append(word)
+        return termination_measure(word)
+
+    monkeypatch.setattr(ore, "termination_measure", recording_measure)
+    normal_form(wzx("x*z*w"))
+    # xzw -> zxw, www; zxw -> zwx, zz; zwx -> wzx: three rewritten words,
+    # each measured once and then once per replacement
+    assert measured == ["xzw", "zxw", "www", "zxw", "zwx", "zz", "zwx", "wzx"]
 
 
 def test_termination_measure_drops_across_rules():

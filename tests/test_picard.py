@@ -2,10 +2,11 @@
 Riemann-Roch and the ampleness tests."""
 
 import copy
+import itertools
 import pickle
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import dp3ring.picard as picard
 from dp3ring.cyclotomic import CycNum, OMEGA
@@ -14,6 +15,7 @@ from dp3ring.picard import (
     E1,
     E2,
     E3,
+    EFFECTIVE_GENERATORS,
     H,
     K,
     L1,
@@ -166,6 +168,50 @@ def test_vanishing_matches_nakai_moishezon_on_small_box():
                 for d in range(-2, 4):
                     div = DivisorClass(a, b, c, d)
                     assert vanishing_criterion(div) == is_ample(div - K)
+
+
+def nakai_moishezon(div):
+    """The oracle: D.D > 0 and D.C > 0 for every effective-cone generator C."""
+    return intersect(div, div) > 0 and all(
+        intersect(div, curve) > 0 for curve in EFFECTIVE_GENERATORS
+    )
+
+
+def assert_predicates_match_nakai_moishezon(div):
+    assert is_ample(div) == nakai_moishezon(div), div
+    assert vanishing_criterion(div) == nakai_moishezon(div - K), div
+
+
+def test_ampleness_predicates_match_nakai_moishezon_on_a_box():
+    # the straight-line predicates name no generator; this ties them to the
+    # six of EFFECTIVE_GENERATORS on [-8, 12]^4
+    span = range(-8, 13)
+    for coords in itertools.product(span, repeat=4):
+        assert_predicates_match_nakai_moishezon(DivisorClass(*coords))
+
+
+huge = st.integers(-(10**40), 10**40)
+huge_classes = st.one_of(
+    st.builds(DivisorClass, huge, huge, huge, huge),
+    # a large multiple of a small class plus a small one lands on and next
+    # to the walls of the ample cone
+    st.builds(
+        lambda k, base, step: k * base + step,
+        st.integers(0, 10**40),
+        classes,
+        classes,
+    ),
+)
+
+
+@given(div=huge_classes)
+@example(div=DivisorClass(3 * 10**40 + 1, 10**40, 10**40, 10**40))
+@example(div=DivisorClass(2 * 10**40, 10**40, 0, 10**40))
+# on the wall D.L1 = 0 and nowhere else, and the same for D - K
+@example(div=DivisorClass(2 * 10**40, 10**40, 1, 10**40))
+@example(div=DivisorClass(2 * 10**40 - 3, 10**40 - 1, 0, 10**40 - 1))
+def test_ampleness_predicates_match_nakai_moishezon_on_huge_classes(div):
+    assert_predicates_match_nakai_moishezon(div)
 
 
 def test_h0_formula_values():
