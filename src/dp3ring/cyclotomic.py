@@ -1,8 +1,9 @@
 """Exact arithmetic in the quadratic cyclotomic field Q(zeta), zeta a
 primitive sixth root of unity.
 
-A value is stored as the pair (p, q) meaning p + q*zeta with p and q exact
-rationals.  Every product is reduced by zeta^2 = zeta - 1, so the pair is a
+A value is stored as the pair (p, q) meaning p + q*zeta.  Each part is an
+int or a Fraction; anything else, a float, a Decimal or a string, is a
+TypeError.  Every product is reduced by zeta^2 = zeta - 1, so the pair is a
 canonical form and equality is plain structural comparison.  An integral
 part is kept as a plain int, so arithmetic in Z[zeta] never touches
 Fraction; a Fraction holds only a part that is not integral, and division
@@ -15,9 +16,12 @@ from fractions import Fraction
 
 
 def _exact(value) -> int | Fraction:
-    """The rational `value` as an int when integral, else as a Fraction."""
-    value = Fraction(value)
-    return value.numerator if value.denominator == 1 else value
+    """The int or Fraction `value` as an int when integral, else as itself."""
+    if isinstance(value, int):
+        return int(value)
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    raise TypeError(f"a part of a CycNum is an int or a Fraction, not {value!r}")
 
 
 def render_sum(terms) -> str:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 
-from .cyclotomic import CycNum, ZETA, render_powers, render_sum
+from .cyclotomic import CycNum, ZERO, ZETA, render_powers, render_sum
 
 
 class AlphabetMismatchError(ValueError):
@@ -100,7 +100,7 @@ class NcPoly:
         self._check_same(other)
         out = dict(self.terms)
         for word, coeff in other.terms.items():
-            out[word] = out.get(word, CycNum(0)) + coeff
+            out[word] = out.get(word, ZERO) + coeff
         return NcPoly(self.alphabet, out)
 
     def __sub__(self, other):
@@ -122,7 +122,7 @@ class NcPoly:
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 word = w1 + w2
-                out[word] = out.get(word, CycNum(0)) + c1 * c2
+                out[word] = out.get(word, ZERO) + c1 * c2
         return NcPoly(self.alphabet, out)
 
     def __rmul__(self, other):
@@ -185,7 +185,7 @@ class NcPoly:
                     raise ValueError(f"no image for letter {ch!r}") from None
             # one running sum: adding polynomials would copy every term so far
             for w, c in piece.terms.items():
-                out[w] = out.get(w, CycNum(0)) + c * coeff
+                out[w] = out.get(w, ZERO) + c * coeff
         return NcPoly(target, out)
 
     # -- rendering ---------------------------------------------------------------
@@ -358,7 +358,7 @@ class _Parser:
     def parse_atom(self) -> NcPoly:
         kind, value, pos = self.advance()
         if kind == "num":
-            return NcPoly.scalar(self.alphabet, Fraction(value))
+            return NcPoly.scalar(self.alphabet, value)
         if kind == "name":
             if value == "zeta":
                 return NcPoly.scalar(self.alphabet, ZETA)

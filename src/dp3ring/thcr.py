@@ -18,7 +18,6 @@ from .cox import (
     SectionSpace,
     enumerate_sections,
     monomial_product,
-    multidegree,
     render_monomial,
     rotate_exponents,
 )
@@ -61,24 +60,17 @@ LOW_DEGREE_TABLE = (
 
 @dataclass(frozen=True)
 class GradedSection:
-    """A degree-n element: rational coefficients on section monomials of
-    one multidegree, a map from exponent vectors to nonzero Fractions."""
+    """A degree-n element: nonzero rational coefficients on section
+    monomials of multidegree twist_divisor(n).
+
+    The constructor checks nothing.  Its two builders establish the
+    invariant: `section_from_xy` takes only homogeneous rational input, and
+    `twisted_mul` of homogeneous sections is homogeneous since
+    D(m+n) = D(m) + rot^m D(n); each drops the zero coefficients it makes.
+    """
 
     n: int
-    terms: dict[tuple[int, ...], Fraction]
-
-    def __post_init__(self):
-        clean = {mono: Fraction(coeff) for mono, coeff in self.terms.items() if coeff}
-        object.__setattr__(self, "terms", clean)
-        if self.n < 0:
-            raise ValueError("section degree must be non-negative")
-        target = twist_divisor(self.n)
-        for mono in clean:
-            if multidegree(mono) != target:
-                raise ValueError(
-                    f"monomial {render_monomial(mono)} breaks homogeneity: multidegree "
-                    f"{multidegree(mono)} != {target}"
-                )
+    terms: dict[tuple[int, ...], int | Fraction]
 
     def render(self) -> str:
         # canonical display order: lex on exponent vectors, largest first
@@ -98,7 +90,7 @@ def twisted_mul(a: GradedSection, b: GradedSection) -> GradedSection:
         for m2, c2 in right:
             prod = monomial_product(m1, m2)
             out[prod] = out.get(prod, 0) + c1 * c2
-    return GradedSection(a.n + b.n, out)
+    return GradedSection(a.n + b.n, {m: c for m, c in out.items() if c})
 
 
 def twist_basis(n: int) -> SectionSpace:
@@ -176,7 +168,7 @@ def section_from_xy(p: NcPoly) -> GradedSection:
             raise ValueError("twisted-ring sections carry rational coefficients")
         image = word_image(word)
         terms[image] = terms.get(image, 0) + coeff.p
-    return GradedSection(degree, terms)
+    return GradedSection(degree, {m: c for m, c in terms.items() if c})
 
 
 def _cover(left, right, k: int) -> set[tuple[int, ...]]:

@@ -1,5 +1,6 @@
 """Field arithmetic in Q(zeta), zeta a primitive sixth root of unity."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -78,6 +79,18 @@ def test_integral_parts_are_plain_ints():
         assert type(value.p) is int and type(value.q) is int, value
     half = CycNum(Fraction(1, 2), 5)
     assert type(half.p) is Fraction and type(half.q) is int
+
+
+@pytest.mark.parametrize("args", [(0.5,), (1, 0.5), ("1/3",), (Decimal("0.5"),)])
+def test_parts_other_than_int_or_fraction_are_refused(args):
+    # a float would be rounded in binary and a string parsed: neither is exact input
+    with pytest.raises(TypeError):
+        CycNum(*args)
+
+
+def test_bool_parts_become_plain_ints():
+    assert CycNum(True) == 1
+    assert type(CycNum(True).p) is int
 
 
 def test_division_and_negative_powers_stay_exact():
