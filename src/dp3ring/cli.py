@@ -36,13 +36,17 @@ def _nonneg(text: str) -> int:
     return value
 
 
-def _degree(text: str) -> int:
-    """A degree of `basis` or `divisor`: a degree-n element is a sum of words
-    of up to n letters, and the parser refuses longer words too."""
-    value = _nonneg(text)
-    if value > MAX_WORD_LENGTH:
-        raise argparse.ArgumentTypeError(f"must be at most {MAX_WORD_LENGTH}")
-    return value
+def _at_most(bound: int, parse=_nonneg):
+    """An argument type: `parse`, refusing values past `bound`.  A degree of
+    `basis` or `divisor` is at most MAX_WORD_LENGTH: a degree-n element is a
+    sum of words of up to n letters, and the parser refuses longer words."""
+
+    def bounded(text: str) -> int:
+        if (value := parse(text)) > bound:
+            raise argparse.ArgumentTypeError(f"must be at most {bound}")
+        return value
+
+    return bounded
 
 
 def _reduce(poly, alphabet: str):
@@ -143,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_nf)
 
     p = sub.add_parser("divisor", help="summary of the n-th twist divisor")
-    p.add_argument("n", type=_degree)
+    p.add_argument("n", type=_at_most(MAX_WORD_LENGTH))
     add_format(p)
     p.set_defaults(func=_cmd_divisor)
 
@@ -155,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("basis", help="monomial basis of a graded piece")
     p.add_argument("--ring", choices=("R", "B"), required=True)
-    p.add_argument("n", type=_degree)
+    p.add_argument("n", type=_at_most(MAX_WORD_LENGTH))
     add_format(p)
     p.set_defaults(func=_cmd_basis)
 
@@ -168,12 +172,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_mul)
 
     p = sub.add_parser("hilbert", help="graded dimensions up to a degree cap")
-    p.add_argument("--max-degree", type=_nonneg, default=24)
+    # measured cold at the bound: 0.5 s and 136 MB
+    p.add_argument("--max-degree", type=_at_most(1_000_000), default=24)
     add_format(p)
     p.set_defaults(func=_cmd_hilbert)
 
     p = sub.add_parser("verify", help="run the full verification suite")
-    p.add_argument("--max-degree", type=_int, default=24)
+    # measured cold at the bound: about 20 s and 71 MB, mostly for `dims`
+    p.add_argument("--max-degree", type=_at_most(1000, _int), default=24)
     p.add_argument(
         "--timings", action="store_true", help="add each check's elapsed time"
     )

@@ -7,12 +7,12 @@ monomials of multidegree D.  For D = (a, b, c, d) a monomial is fixed by its
 X and Y exponents i, j: those of Z, s, t, u are then a - i - j, a - j - b,
 a - i - c and i + j - d.  So the monomials are the lattice points of one
 polygon, the box 0 <= i <= a - c, 0 <= j <= a - b cut by the strip
-d <= i + j <= a (Cox-Little-Schenck, Toric Varieties, Prop. 4.3.3), which
-`enumerate_sections` walks and `section_count` counts.  The cyclic rotation
+d <= i + j <= a (Cox-Little-Schenck, Toric Varieties, Prop. 4.3.3), whose
+rows `polygon_rows` states and `section_count` counts.  The cyclic rotation
 X -> u -> Y -> t -> Z -> s -> X of the variables realizes the hexagon
 symmetry on sections and matches the lattice rotation on multidegrees;
-`_ROT_IMAGE` states one step, and one table of its six powers
-rotates both a variable and an exponent vector.
+`_ROT_IMAGE` states one step, and one table of its six powers rotates a
+variable, an exponent vector and, through `rotated_class`, a class.
 
 A monomial is its exponent 6-tuple in the variable order X, Y, Z, s, t, u;
 tuples compare lexicographically, which is the canonical display order.
@@ -68,6 +68,16 @@ def rotate_variable(name: str, times: int = 1) -> str:
 def rotate_exponents(exps: tuple[int, ...], times: int = 1) -> tuple[int, ...]:
     """Image of a section monomial under `times` steps of the rotation."""
     return _ROT_GATHER[times % 6](exps)
+
+
+def rotated_class(div: DivisorClass, times: int = 1) -> DivisorClass:
+    """The class into which `times` rotation steps carry the monomials of
+    `div`, read off the first one (off the chart point i = j = 0 if there is
+    none; multidegree is linear).  This assumes the rotation carries a whole
+    class into one class, which `check_hexagon` checks variable by variable."""
+    a, b, c, d = div
+    i, _, j = next(polygon_rows(div), (0, 0, 0))
+    return multidegree(rotate_exponents((i, j, a - i - j, a - j - b, a - i - c, i + j - d), times))
 
 
 def monomial_product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -133,13 +143,24 @@ class SectionSpace:
         return len(self.basis)
 
 
+def polygon_rows(div: DivisorClass):
+    """The nonempty rows (i, low, high) of the polygon of `div`, i descending:
+    its points with X exponent i have Y exponents low..high."""
+    a, b, c, d = div
+    for i in range(min(a, a - c), -1, -1):
+        low = d - i if i < d else 0
+        high = a - i if i > b else a - b
+        if low <= high:
+            yield i, low, high
+
+
 def enumerate_sections(div: DivisorClass) -> SectionSpace:
     """All monomials of multidegree `div`, one per lattice point (i, j) of its
     polygon; i, then j, descending gives canonical order, strictly descending."""
     a, b, c, d = div
     found = []
-    for i in range(min(a, a - c), -1, -1):
-        for j in range(min(a - b, a - i), max(0, d - i) - 1, -1):
+    for i, low, high in polygon_rows(div):
+        for j in range(high, low - 1, -1):
             found.append((i, j, a - i - j, a - j - b, a - i - c, i + j - d))
     return SectionSpace(tuple(found))
 

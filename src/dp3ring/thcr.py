@@ -18,12 +18,15 @@ from .cox import (
     SectionSpace,
     enumerate_sections,
     monomial_product,
+    multidegree,
+    polygon_rows,
     render_monomial,
     rotate_exponents,
+    rotated_class,
 )
 from .cyclotomic import render_sum
 from .ncpoly import NcPoly, XY
-from .picard import twist_divisor
+from .picard import ZERO_CLASS, DivisorClass, twist_divisor
 
 # generator images: x -> X, y -> Z*t
 _X_EXPS = (1, 0, 0, 0, 0, 0)
@@ -118,39 +121,15 @@ def word_image(word: str) -> tuple[int, ...]:
     return exps
 
 
-def word_image_levels(max_degree: int):
-    """Yield (word count, set of image exponent vectors) for every degree
-    0..max_degree, in one pass.
-
-    A degree-d word is a degree-(d-1) word followed by x, or a degree-(d-2)
-    word followed by y, and that last letter's image is rotated by the
-    degree of the prefix.  So each degree's images, with the number of
-    words reaching each one, follow from the two degrees below; the word
-    count is the sum of those multiplicities.  The cost is polynomial in
-    the degree although there are Fib(n) words of degree n.
-    """
-    if max_degree < 0:
-        raise ValueError("degree must be non-negative")
-    below: dict[tuple[int, ...], int] = {}
-    level = {UNIT: 1}
-    yield 1, set(level)
-    for d in range(1, max_degree + 1):
-        step: dict[tuple[int, ...], int] = {}
-        for prefixes, m, gen in ((level, d - 1, _X_EXPS), (below, d - 2, _Y_EXPS)):
-            shifted = rotate_exponents(gen, m)
-            for exps, words in prefixes.items():
-                image = monomial_product(exps, shifted)
-                step[image] = step.get(image, 0) + words
-        below, level = level, step
-        yield sum(level.values()), set(level)
-
-
 def word_image_exponents(n: int) -> tuple[int, set[tuple[int, ...]]]:
-    """(word count, set of image exponent vectors) over all degree-n words:
-    the last level of `word_image_levels(n)`."""
-    for count, images in word_image_levels(n):
-        pass
-    return count, images
+    """(word count, set of image exponent vectors) over all degree-n words,
+    each evaluated by `word_image`: a reference, exponential in n."""
+    if n < 0:
+        raise ValueError("degree must be non-negative")
+    below, words = [], [""]  # the words of degrees d - 1 and d
+    for _ in range(n):
+        below, words = words, [w + "x" for w in words] + [w + "y" for w in below]
+    return len(words), {word_image(w) for w in words}
 
 
 def section_from_xy(p: NcPoly) -> GradedSection:
@@ -171,24 +150,56 @@ def section_from_xy(p: NcPoly) -> GradedSection:
     return GradedSection(degree, {m: c for m, c in terms.items() if c})
 
 
-def _cover(left, right, k: int) -> set[tuple[int, ...]]:
-    """Twisted products of the degree-k monomials `left` with rot^k of `right`."""
-    return {monomial_product(a, rotate_exponents(b, k)) for a in left for b in right}
+def covers(target: DivisorClass, pieces) -> bool:
+    """True iff the monomials of class `target` are exactly the products m*v,
+    for each (class D, monomial v) in `pieces` and each monomial m of D: each
+    D + deg v is `target`, and D's polygon rows, shifted by v's X and Y
+    exponents, cover the target's rows."""
+    shifted = []
+    for div, v in pieces:
+        if div + multidegree(v) != target:
+            return False
+        shifted += [(i + v[0], lo + v[1], hi + v[1]) for i, lo, hi in polygon_rows(div)]
+    rows = list(polygon_rows(target))
+    low = {i: lo for i, lo, _ in rows}  # each row's first j not yet covered
+    for i, lo, hi in sorted(shifted):
+        if i not in low or lo > low[i]:
+            return False
+        low[i] = max(low[i], hi + 1)
+    return all(low[i] > hi for i, _, hi in rows)
+
+
+def word_image_pieces(n: int, twists) -> list:
+    """Pieces for `covers` whose products are the degree-n word images, if
+    those of degrees n-1 and n-2 are the monomials of their twists: a word
+    ends in x or y, rotated by the prefix's degree; the empty word's image
+    is the unit, the monomial of class zero."""
+    if n == 0:
+        return [(ZERO_CLASS, UNIT)]
+    letters = ((_X_EXPS, 1), (_Y_EXPS, 2))
+    return [(twists[n - k], rotate_exponents(v, n - k)) for v, k in letters if k <= n]
+
+
+def _twisted(left: DivisorClass, right: DivisorClass, k: int) -> list:
+    """Pieces for `covers`: the products a*rot^k(b), a and b the monomials of
+    classes `left` and `right`."""
+    rotated = rotated_class(right, k)
+    return [(rotated, a) for a in enumerate_sections(left).basis]
 
 
 def degree_two_covers(quadratic, lower, target) -> bool:
-    """True iff products of the degree-2 basis `quadratic` with rot^2 of the
-    degree-n basis `lower` already cover `target`, the degree-(n+2) basis."""
-    return set(target) <= _cover(quadratic, lower, 2)
+    """True iff the twisted products of the monomials of class `quadratic`,
+    D(2), with those of `lower`, D(n), are those of `target`, D(n+2)."""
+    return covers(target, _twisted(quadratic, lower, 2))
 
 
 def check_generation(linear, quadratic, lower, middle, target) -> bool:
-    """True iff `target`, the degree-(n+2) basis, is covered by twisted
-    products of `quadratic` with the degree-n basis `lower` or of the
-    degree-1 basis `linear` with the degree-(n+1) basis `middle`.
+    """True iff the monomials of class `target`, D(n+2), are the twisted
+    products of those of `quadratic`, D(2), with those of `lower`, D(n), or
+    of `linear`, D(1), with those of `middle`, D(n+1).
 
     The quadratic products alone suffice except in degree three, where the
     linear generator is also needed (x*y is not a product of degree-2 by
     degree-1 elements).
     """
-    return set(target) <= _cover(quadratic, lower, 2) | _cover(linear, middle, 1)
+    return covers(target, _twisted(quadratic, lower, 2) + _twisted(linear, middle, 1))

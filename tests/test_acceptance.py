@@ -116,9 +116,9 @@ def test_criterion_05_graded_isomorphism():
 
 def test_criterion_06_generation():
     problems = []
-    linear, quadratic = thcr.twist_basis(1).basis, thcr.twist_basis(2).basis
+    linear, quadratic = twist_divisor(1), twist_divisor(2)
     for n in range(23):
-        lower, middle, target = (thcr.twist_basis(n + i).basis for i in range(3))
+        lower, middle, target = (twist_divisor(n + i) for i in range(3))
         if not thcr.check_generation(linear, quadratic, lower, middle, target):
             problems.append(f"degree {n + 2} not generated")
     check = verify.check_generation_divisor_table()

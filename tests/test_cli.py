@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import dp3ring.picard as picard
-from dp3ring.cli import main
+from dp3ring.cli import build_parser, main
 from dp3ring.ncpoly import MAX_SCALAR_EXPONENT, MAX_WORD_LENGTH
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -209,6 +209,15 @@ def test_divisor_rejects_negative(capsys):
         (["divisor", "1001"], "divisor: error: argument n: must be at most 1000"),
         (["basis", "--ring", "R", "1001"], "basis: error: argument n: must be at most 1000"),
         (["basis", "--ring", "B", "1001"], "basis: error: argument n: must be at most 1000"),
+        # caps past the measured bounds of run time and memory
+        (
+            ["verify", "--max-degree", "1001"],
+            "verify: error: argument --max-degree: must be at most 1000",
+        ),
+        (
+            ["hilbert", "--max-degree", "1000001"],
+            "hilbert: error: argument --max-degree: must be at most 1000000",
+        ),
     ],
 )
 def test_integer_arguments_are_ascii_digits(capsys, argv, error):
@@ -223,6 +232,16 @@ def test_divisor_at_the_word_length_limit(capsys):
     code, out, _ = run_cli(capsys, "divisor", f"{MAX_WORD_LENGTH}")
     assert code == 0
     assert out == "(500,167,166,167) chi=83834 h0=83834 ample(D-K)=true\n"
+
+
+def test_caps_at_their_bounds_parse():
+    # parsing only, which allocates nothing: a run at these caps takes
+    # seconds and tens of MB
+    parser = build_parser()
+    assert parser.parse_args(["verify", "--max-degree", "1000"]).max_degree == 1000
+    assert parser.parse_args(["hilbert", "--max-degree", "1000000"]).max_degree == 1000000
+    # a negative cap reaches run_all, whose error says what the floor is
+    assert parser.parse_args(["verify", "--max-degree", "-3"]).max_degree == -3
 
 
 def test_h0_of_arbitrary_class(capsys):

@@ -16,13 +16,21 @@ from dp3ring.cox import (
     monomial_product,
     multidegree,
     parse_monomial,
+    polygon_rows,
     render_monomial,
     rotate_exponents,
     rotate_variable,
+    rotated_class,
     section_count,
 )
 from dp3ring.ncpoly import XY, parse
-from dp3ring.picard import DivisorClass, intersect, rotate_class, twist_divisor
+from dp3ring.picard import (
+    DivisorClass,
+    intersect,
+    rotate_class,
+    rotate_class_power,
+    twist_divisor,
+)
 from dp3ring.thcr import GradedSection, section_from_xy, twisted_mul
 
 
@@ -105,6 +113,11 @@ def test_section_count_matches_the_enumerated_basis():
             assert section_count(div) == len(basis), div
             assert all(prev > cur for prev, cur in zip(basis, basis[1:])), div
             assert all(multidegree(mono) == div for mono in basis), div
+            # polygon_rows states the rows the basis walks, none of them empty
+            rows = list(polygon_rows(div))
+            walked = [(i, j) for i, lo, hi in rows for j in range(hi, lo - 1, -1)]
+            assert walked == [mono[:2] for mono in basis], div
+            assert all(lo <= hi for _, lo, hi in rows), div
 
 
 def _section_count_by_rows(div):
@@ -215,6 +228,21 @@ def test_rotation_order_six_on_monomials(mono):
 @given(mono=monomials)
 def test_rotation_matches_lattice_action(mono):
     assert multidegree(rotate_exponents(mono)) == rotate_class(multidegree(mono))
+
+
+@settings(max_examples=60)
+@given(mono=monomials, times=st.integers(0, 5))
+def test_rotated_class_matches_the_lattice_rotation(mono, times):
+    div = multidegree(mono)
+    assert rotated_class(div, times) == rotate_class_power(div, times)
+
+
+def test_rotated_class_of_a_class_without_monomials():
+    # read off the chart point, the class still rotates as in the lattice
+    for div in (DivisorClass(-1, 0, 0, 0), DivisorClass(2, 5, -3, 1)):
+        assert enumerate_sections(div).basis == ()
+        for times in range(6):
+            assert rotated_class(div, times) == rotate_class_power(div, times)
 
 
 @settings(max_examples=60)

@@ -5,20 +5,30 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dp3ring.cox import multidegree, parse_monomial, render_monomial
+from dp3ring.cox import (
+    UNIT,
+    enumerate_sections,
+    monomial_product,
+    multidegree,
+    parse_monomial,
+    polygon_rows,
+    render_monomial,
+    rotate_exponents,
+)
 from dp3ring.ncpoly import NcPoly, XY, parse
 from dp3ring.picard import rotate_class_power, twist_divisor
 from dp3ring.thcr import (
     GradedSection,
     LOW_DEGREE_TABLE,
     check_generation,
+    covers,
     degree_two_covers,
     section_from_xy,
     twist_basis,
     twisted_mul,
     word_image,
     word_image_exponents,
-    word_image_levels,
+    word_image_pieces,
 )
 
 
@@ -110,15 +120,6 @@ def test_word_image_exponents_matches_the_word_walk():
 def test_word_image_exponents_rejects_negative_degree():
     with pytest.raises(ValueError):
         word_image_exponents(-1)
-    with pytest.raises(ValueError):
-        next(word_image_levels(-1))
-
-
-def test_word_image_levels_match_each_degree():
-    levels = list(word_image_levels(30))
-    assert len(levels) == 31
-    for n, level in enumerate(levels):
-        assert level == word_image_exponents(n), n
 
 
 def test_word_images_cover_each_basis():
@@ -127,14 +128,36 @@ def test_word_images_cover_each_basis():
         assert images == set(twist_basis(n).basis)
 
 
-def test_word_counts_follow_the_two_weight_recurrence():
-    # degree 60 has Fib(60) = 2504730781961 words, far beyond a word walk
-    counts = [word_image_exponents(n)[0] for n in range(61)]
-    assert counts[0] == counts[1] == 1
-    for n in range(2, 61):
-        assert counts[n] == counts[n - 1] + counts[n - 2]
-    assert counts[10] == 89
-    assert counts[60] == 2504730781961
+def _products(pieces):
+    # oracle: every product m*v, m running over the listed basis of D
+    return {
+        monomial_product(m, v) for div, v in pieces for m in enumerate_sections(div).basis
+    }
+
+
+def test_covers_agrees_with_the_brute_force_images():
+    twists = [twist_divisor(n) for n in range(19)]
+    for n in range(19):
+        target, pieces = twists[n], word_image_pieces(n, twists)
+        basis = set(twist_basis(n).basis)
+        assert _products(pieces) == word_image_exponents(n)[1] == basis, n
+        assert covers(target, pieces), n
+        # each last letter alone: covers says whether its words suffice
+        for piece in pieces:
+            assert covers(target, [piece]) == (_products([piece]) == basis), (n, piece)
+
+
+def test_covers_checks_class_additivity():
+    # the polygon of D + deg(Z) has the rows of D's, each one as long or
+    # longer, so only the classes tell that its monomials are not D's
+    target = twist_divisor(8)
+    grown = target + multidegree(parse_monomial("Z"))
+    rows = {i: (lo, hi) for i, lo, hi in polygon_rows(grown)}
+    assert rows.keys() == {i for i, _, _ in polygon_rows(target)}
+    assert all(rows[i][0] <= lo and hi <= rows[i][1] for i, lo, hi in polygon_rows(target))
+    assert covers(target, [(target, UNIT)])
+    assert not covers(target, [(grown, UNIT)])
+    assert not covers(target, [])
 
 
 def assert_builder_invariant(section: GradedSection):
@@ -208,20 +231,38 @@ def test_degree_additivity_of_twist_divisors():
 
 
 def test_generation_of_low_and_mid_degrees():
-    linear, quadratic = twist_basis(1).basis, twist_basis(2).basis
+    linear, quadratic = twist_divisor(1), twist_divisor(2)
     for n in range(23):
-        lower, middle, target = (twist_basis(n + i).basis for i in range(3))
+        lower, middle, target = (twist_divisor(n + i) for i in range(3))
         assert check_generation(linear, quadratic, lower, middle, target), n
 
 
 def test_quadratic_cover_fails_only_in_degree_three():
-    quadratic = twist_basis(2).basis
+    quadratic = twist_divisor(2)
     missing = [
         n
         for n in range(23)
-        if not degree_two_covers(quadratic, twist_basis(n).basis, twist_basis(n + 2).basis)
+        if not degree_two_covers(quadratic, twist_divisor(n), twist_divisor(n + 2))
     ]
     assert missing == [1]
+
+
+def _cover(left, right, k):
+    # oracle: the twisted products of two listed bases, as a set of tuples
+    return {monomial_product(a, rotate_exponents(b, k)) for a in left for b in right}
+
+
+def test_generation_predicates_agree_with_the_tuple_set_oracle():
+    twists = [twist_divisor(n) for n in range(41)]
+    bases = [set(enumerate_sections(div).basis) for div in twists]
+    for n in range(39):
+        by_quadratic = _cover(bases[2], bases[n], 2)
+        quadratic = bases[n + 2] <= by_quadratic
+        both = bases[n + 2] <= by_quadratic | _cover(bases[1], bases[n + 1], 1)
+        assert degree_two_covers(twists[2], twists[n], twists[n + 2]) == quadratic, n
+        assert check_generation(twists[1], twists[2], *twists[n : n + 3]) == both, n
+        # degree three is the one degree that needs the linear generator
+        assert (quadratic, both) == (n != 1, True), n
 
 
 def test_degree_two_sections_have_disjoint_zero_loci():
