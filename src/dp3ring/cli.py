@@ -14,7 +14,7 @@ import signal
 import sys
 
 from . import cox, ore, thcr, verify
-from .ncpoly import ALPHABETS, MAX_WORD_LENGTH, parse, render_word
+from .ncpoly import ALPHABETS, MAX_WORD_LENGTH, bound_product, parse, render_word
 from .picard import DivisorClass, K, chi, h0_formula, is_ample, twist_divisor
 
 
@@ -101,8 +101,10 @@ def _cmd_mul(args) -> _Answer:
     if args.ring == "R":
         alphabet = ALPHABETS[args.alphabet]
         inputs["alphabet"] = args.alphabet
-        product = parse(args.lhs, alphabet) * parse(args.rhs, alphabet)
-        rendered = _reduce(product, args.alphabet).render()
+        left, right = parse(args.lhs, alphabet), parse(args.rhs, alphabet)
+        # the product starts where the right operand does
+        bound_product(left, right, 0)
+        rendered = _reduce(left * right, args.alphabet).render()
     elif args.alphabet != "xy":
         raise ValueError("--alphabet wzx applies to --ring R only")
     else:

@@ -219,6 +219,12 @@ class NcPoly:
 # hostile input is a parse error, not a RecursionError.  A product or power
 # whose words would grow past MAX_WORD_LENGTH letters is a parse error too,
 # found before it is multiplied out: "x^99999999999" would never finish.
+# So is one that may have more than MAX_TERMS terms: "(x+y)^26" has words
+# of only 26 letters, but 2^26 of them.  Its terms are distinct words, so
+# they number at most the product of its factors' term counts, and at most
+# the words of its length over its letters.  That bounds the term pairs each
+# multiplication forms too, within a factor of 4; a one-letter product,
+# whose pairs collapse onto at most 1,001 words, forms at most 251,001.
 # A scalar other than 0 or a sixth root of unity gains over a fifth of a
 # digit per factor, so its power past MAX_SCALAR_EXPONENT could never be
 # printed and is refused too.
@@ -226,6 +232,9 @@ class NcPoly:
 MAX_NESTING = 100
 MAX_WORD_LENGTH = 1000
 MAX_SCALAR_EXPONENT = 10**5
+# measured: (x+y)^14, 2^14 terms, parses in 0.07 s and 18 MB, and (x+y)^16
+# in 0.2-0.3 s and 28 MB; a product at the bound may form 4x its terms in pairs
+MAX_TERMS = 2**14
 
 
 def _longest_word(poly: NcPoly) -> int:
@@ -236,6 +245,24 @@ def _bound_words(length: int, pos: int) -> None:
     if length > MAX_WORD_LENGTH:
         message = f"words of {length} letters pass the limit of {MAX_WORD_LENGTH}"
         raise ParseError(message, pos)
+
+
+def _bound_terms(most: int, letters: set[str], length: int, pos: int) -> None:
+    """Refuse a product whose factors' term counts multiply to `most` and
+    whose words over `letters` have at most `length` letters, if it may have
+    more than MAX_TERMS terms."""
+    n = len(letters)
+    words = length + 1 if n == 1 else (n ** (length + 1) - 1) // (n - 1)
+    if min(most, words) > MAX_TERMS:
+        raise ParseError(f"a product may have over {MAX_TERMS} terms", pos)
+
+
+def bound_product(left: NcPoly, right: NcPoly, pos: int) -> None:
+    """Refuse left * right, before it is multiplied out, if it may have more
+    than MAX_TERMS terms."""
+    letters = set().union(*left.terms, *right.terms)
+    length = _longest_word(left) + _longest_word(right)
+    _bound_terms(len(left.terms) * len(right.terms), letters, length, pos)
 
 
 def _literal(digits: str, pos: int) -> int:
@@ -333,6 +360,7 @@ class _Parser:
                 self.advance()
                 rhs = self.parse_factor()
                 _bound_words(_longest_word(out) + _longest_word(rhs), pos)
+                bound_product(out, rhs, pos)
                 out = out * rhs
             else:
                 return out
@@ -346,13 +374,17 @@ class _Parser:
             if kind != "num" or value.denominator != 1:
                 raise ParseError("exponent must be a non-negative integer", pos)
             self.advance()
-            _bound_words(_longest_word(base) * int(value), pos)
+            k = int(value)
+            length = _longest_word(base) * k
+            _bound_words(length, pos)
+            # a letterless base has at most one term, so t^k stays small
+            _bound_terms(len(base.terms) ** k, set().union(*base.terms), length, pos)
             # past the word bound only a letterless base is left
-            if value > MAX_SCALAR_EXPONENT and not base.is_zero and base**6 != base**0:
+            if k > MAX_SCALAR_EXPONENT and not base.is_zero and base**6 != base**0:
                 limit = MAX_SCALAR_EXPONENT
                 message = f"a scalar power past exponent {limit} is too long to print"
                 raise ParseError(message, pos)
-            return base ** int(value)
+            return base**k
         return base
 
     def parse_atom(self) -> NcPoly:

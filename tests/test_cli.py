@@ -58,6 +58,12 @@ def test_nf_parse_error_exits_2(capsys):
         # a number is ASCII digits only: "٣" used to read as 3
         ["nf", "--", "٣*x"],
         ["mul", "--ring", "B", "x", "x^²"],
+        # past MAX_TERMS: all but the last would build 2^32 or more terms
+        ["nf", "--", "(x+y)^40"],
+        ["mul", "--ring", "B", "--", "(x+y)^40", "x"],
+        ["nf", "--", "(x+y)^16*(x+y)^16"],
+        ["mul", "--ring", "R", "--", "(x+y)^16", "(x+y)^16"],
+        ["mul", "--ring", "R", "--", "(x+y)^7", "(x+y)^8"],
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
@@ -443,8 +449,8 @@ def test_verify_report_matches_golden_files(capsys):
 
 
 def test_verify_reaches_cap_forty(capsys):
-    # the word images are counted degree by degree, not word by word, so
-    # cap 40 (Fib(40) = 165580141 words) finishes in about a second
+    # thcr.covers compares polygon rows instead of walking the words, so
+    # cap 40 (Fib(40) = 165580141 words) costs about what cap 24 does
     code, out, _ = run_cli(capsys, "verify", "--max-degree", "40")
     assert code == 0
     assert out.endswith("result: 17/17 checks passed\n")

@@ -1,6 +1,7 @@
 """Noncommutative polynomials, the expression grammar and rendering."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,6 +11,7 @@ from dp3ring.ncpoly import (
     AlphabetMismatchError,
     MAX_NESTING,
     MAX_SCALAR_EXPONENT,
+    MAX_TERMS,
     MAX_WORD_LENGTH,
     NcPoly,
     ParseError,
@@ -154,6 +156,26 @@ def test_parse_limits_word_length():
         with pytest.raises(ParseError) as info:
             parse(text, XY)
         assert info.value.pos == pos, text
+
+
+def test_parse_limits_term_count():
+    # (x + y)^k has 2^k words of only k letters
+    assert len(parse("(x + y)^14", XY).terms) == MAX_TERMS == 2**14
+    assert parse("(x + y)^7*(x + y)^7", XY) == parse("(x + y)^14", XY)
+    for text, pos in (
+        ("(x + y)^15", 8),
+        ("(x + y)^40", 8),
+        ("(x + y)^7*(x + y)^8", 9),
+        # within the word bound, but 2^1001 - 1 words of up to 1,000 letters
+        (f"(x + y^2)^{MAX_WORD_LENGTH // 2}", 10),
+    ):
+        with pytest.raises(ParseError, match=f"over {MAX_TERMS} terms") as info:
+            parse(text, XY)
+        assert info.value.pos == pos, text
+    # one letter: the 2^999 term pairs collapse onto 1,000 words
+    binomial = parse("(1 + x)^999", XY)
+    assert len(binomial.terms) == 1000
+    assert binomial.terms["x" * 499] == CycNum(comb(999, 499))
 
 
 def test_scalar_powers_past_the_bound_are_refused():
