@@ -1,8 +1,8 @@
 """Command line interface: every computation as a scriptable subcommand.
 
 Exit codes: 0 on success, 1 when verification finds a failing check, 2 on
-usage or expression parse errors.  Output is deterministic; json output has
-sorted keys and canonical monomial order.
+usage or expression parse errors and when memory runs out.  Output is
+deterministic; json output has sorted keys and canonical monomial order.
 """
 
 from __future__ import annotations
@@ -196,7 +196,8 @@ def main(argv=None) -> int:
     `--format json` one object {command, inputs, result} with sorted keys.
     A ValueError, a ParseError among them, is a usage error: bad input, or a
     result integer past Python's 4,300-digit limit on int-to-string
-    conversion."""
+    conversion.  A MemoryError is one error line and exit 2 too, not a
+    traceback and the exit 1 of a failed verification."""
     args = build_parser().parse_args(argv)
     try:
         inputs, result, text, code = args.func(args)
@@ -212,6 +213,9 @@ def main(argv=None) -> int:
             limit = sys.get_int_max_str_digits()
             message = f"a result integer has over {limit} digits, too many to print"
         print(f"error: {message}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

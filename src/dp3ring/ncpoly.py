@@ -258,10 +258,11 @@ def _bound_terms(most: int, letters: set[str], length: int, pos: int) -> None:
 
 
 def bound_product(left: NcPoly, right: NcPoly, pos: int) -> None:
-    """Refuse left * right, before it is multiplied out, if it may have more
-    than MAX_TERMS terms."""
-    letters = set().union(*left.terms, *right.terms)
+    """Refuse left * right, before it is multiplied out, if its words would
+    pass MAX_WORD_LENGTH letters or it may have more than MAX_TERMS terms."""
     length = _longest_word(left) + _longest_word(right)
+    _bound_words(length, pos)
+    letters = set().union(*left.terms, *right.terms)
     _bound_terms(len(left.terms) * len(right.terms), letters, length, pos)
 
 
@@ -359,7 +360,6 @@ class _Parser:
             if kind == "op" and value == "*":
                 self.advance()
                 rhs = self.parse_factor()
-                _bound_words(_longest_word(out) + _longest_word(rhs), pos)
                 bound_product(out, rhs, pos)
                 out = out * rhs
             else:

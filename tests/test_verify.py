@@ -1,14 +1,9 @@
 """The verification suite itself: aggregation, determinism, fault injection."""
 
-import contextlib
-import io
 import json
-import re
-import sys
 from collections import Counter
 from itertools import islice, product
 from operator import itemgetter
-from pathlib import Path
 
 import pytest
 
@@ -300,76 +295,3 @@ def test_iso_degree_thirteen_counts():
     assert count == 377
     assert len(images) == 21
     assert len(ore.pbw_basis(13)) == 21
-
-
-# -- pinned failure reports ------------------------------------------------------
-
-DATA = Path(__file__).resolve().parent / "data"
-
-
-def _rotation(mp):
-    # the last row of the hexagon rotation with its final entry off by one
-    mp.setattr(picard, "ROTATION", ((2, -1, -1, -1), (1, -1, -1, 0), (1, 0, -1, -1), (1, -1, 0, 0)))
-
-
-def _dictionary_and_first_twist(mp):
-    bad_entry = (("yxxy", "Y^2*Z*t*u"),)
-    mp.setattr(thcr, "LOW_DEGREE_TABLE", thcr.LOW_DEGREE_TABLE[:-1] + bad_entry)
-    mp.setattr(picard, "FIRST_TWIST", picard.DivisorClass(1, 0, 1, 1))
-
-
-def _counts(mp):
-    hilbert, sections = ore.hilbert_coeffs, cox.section_count
-    mp.setattr(ore, "hilbert_coeffs", lambda cap: [c + (n >= 10) for n, c in enumerate(hilbert(cap))])
-    mp.setattr(cox, "section_count", lambda div: sections(div) + (div.a >= 6))
-
-
-def _normal_form(mp):
-    real = ore.xy_to_pbw
-    mp.setattr(ore, "xy_to_pbw", lambda p: real(p) + NcPoly(WZX, {"xw": 1}))
-
-
-def _vanishing_criterion(mp):
-    real = verify.vanishing_criterion
-    mp.setattr(verify, "vanishing_criterion", lambda div: real(div) and div[0] < 4)
-
-
-# every check fails under at least one of these
-FAULTS = (
-    _rotation,
-    _dictionary_and_first_twist,
-    _counts,
-    _normal_form,
-    _vanishing_criterion,
-)
-
-
-def fault_transcript() -> str:
-    """Exit code, stdout and stderr of `verify --max-degree 12`, text and
-    json, under each fault in FAULTS."""
-    blocks = []
-    for fault in FAULTS:
-        for fmt in ("text", "json"):
-            argv = ["verify", "--max-degree", "12", "--format", fmt]
-            out, err = io.StringIO(), io.StringIO()
-            with pytest.MonkeyPatch.context() as mp:
-                fault(mp)
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = main(argv)
-            blocks.append(
-                f"$ dp3ring {' '.join(argv)}  # fault: {fault.__name__[1:]}\n"
-                f"exit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
-            )
-    return "".join(blocks)
-
-
-def test_failure_reports_match_golden_file():
-    # regenerate with `PYTHONPATH=src python tests/test_verify.py > tests/data/verify_12_faults.txt`
-    transcript = fault_transcript()
-    assert transcript == (DATA / "verify_12_faults.txt").read_text()
-    failed = set(re.findall(r"^  FAIL (\w+):", transcript, re.M))
-    assert failed == set(EXPECTED_CHECK_NAMES)
-
-
-if __name__ == "__main__":
-    sys.stdout.write(fault_transcript())
