@@ -288,7 +288,7 @@ def check_generation(max_degree: int, twists):
     """Every degree is covered by twisted products with degree-1 and degree-2
     monomials; the quadratic part alone suffices except in degree three.
     Each degree's class is compared with the two below it row by row."""
-    scope = f"degrees 0..{max_degree - 2}"
+    scope = f"degrees 2..{max_degree}"
     need_linear = []
     linear, quadratic = twists[1], twists[2]
     for n in range(max_degree - 1):
@@ -435,7 +435,7 @@ def check_twist_divisor_table():
     scope = "twists 1..7"
     for n, coords in _TWIST_TABLE.items():
         if twist_divisor(n) != DivisorClass(*coords):
-            return scope, [f"twist {n} is {twist_divisor(n)}, expected {coords}"]
+            return scope, [f"twist {n} is {twist_divisor(n)}, expected {DivisorClass(*coords)}"]
     return f"{scope} match the table", []
 
 

@@ -271,8 +271,7 @@ def test_verify_json_is_stable(capsys):
 
 
 def test_verify_exit_code_on_corrupted_build(capsys, monkeypatch):
-    corrupted = ((2, -1, -1, -1), (1, -1, -1, 0), (1, 0, -1, -1), (1, -1, 0, 0))
-    monkeypatch.setattr(picard, "ROTATION", corrupted)
+    _rotation(monkeypatch)
     code, out, _ = run_cli(capsys, "verify", "--max-degree", "6")
     assert code == 1
     assert "FAIL" in out

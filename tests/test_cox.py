@@ -65,19 +65,6 @@ def test_parse_monomial_takes_only_canonical_renderings(text):
         parse_monomial(text)
 
 
-def test_enumerate_degree_two_piece():
-    space = enumerate_sections(DivisorClass(1, 1, 0, 0))
-    assert [render_monomial(m) for m in space.basis] == ["X*u", "Z*t"]
-
-
-def test_enumerate_anticanonical_piece():
-    space = enumerate_sections(DivisorClass(3, 1, 1, 1))
-    rendered = {render_monomial(m) for m in space.basis}
-    assert len(space.basis) == 7
-    assert "X*Y*Z*s*t*u" in rendered
-    assert "Y^2*Z*t^2*u" in rendered
-
-
 def test_enumerate_trivial_and_empty_pieces():
     assert enumerate_sections(DivisorClass(0, 0, 0, 0)).basis == (UNIT,)
     assert enumerate_sections(DivisorClass(-1, 0, 0, 0)).basis == ()
@@ -93,12 +80,6 @@ def test_enumerate_against_brute_force_oracle():
             if multidegree(exps) == target:
                 found.add(exps)
         assert set(enumerate_sections(target).basis) == found
-
-
-def test_section_counts():
-    assert section_count(DivisorClass(3, 1, 1, 1)) == 7
-    assert section_count(DivisorClass(4, 2, 1, 2)) == 8
-    assert section_count(DivisorClass(0, 0, 0, 0)) == 1
 
 
 def test_section_count_matches_the_enumerated_basis():

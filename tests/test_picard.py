@@ -84,21 +84,6 @@ def test_rotation_permutes_the_hexagon():
         assert rotate_class(curve) == hexagon[(i + 1) % 6]
 
 
-def test_twist_divisor_table():
-    expected = {
-        0: (0, 0, 0, 0),
-        1: (1, 1, 0, 1),
-        2: (1, 1, 0, 0),
-        3: (2, 1, 1, 1),
-        4: (2, 1, 0, 1),
-        5: (3, 2, 1, 1),
-        6: (3, 1, 1, 1),
-        7: (4, 2, 1, 2),
-    }
-    for n, coords in expected.items():
-        assert twist_divisor(n) == DivisorClass(*coords)
-
-
 def test_twist_divisor_orbit_sum():
     # D_n as the explicit orbit sum, independently of the recursion
     for n, div in zip(range(20), twist_divisors()):
@@ -128,12 +113,6 @@ def test_small_twist_intersections():
         assert intersect(d, K) == -r
 
 
-def test_chi_values():
-    assert chi(DivisorClass(0, 0, 0, 0)) == 1
-    assert chi(twist_divisor(7)) == 8
-    assert chi(twist_divisor(6)) == 7
-
-
 def test_chi_step_identity():
     for n in range(18):
         assert chi(twist_divisor(n + 6)) - chi(twist_divisor(n)) == n + 6
@@ -144,20 +123,6 @@ def test_chi_parity_guard(monkeypatch):
     monkeypatch.setattr(picard, "K", DivisorClass(-3, -1, -1, 0))
     with pytest.raises(ArithmeticError):
         chi(DivisorClass(0, 0, 0, 1))
-
-
-def test_is_ample():
-    assert is_ample(DivisorClass(3, 1, 1, 1))
-    assert not is_ample(E1)
-    assert not is_ample(twist_divisor(1) - K)
-
-
-def test_vanishing_criterion_examples():
-    assert vanishing_criterion(twist_divisor(2))
-    assert not vanishing_criterion(twist_divisor(1))
-    assert vanishing_criterion(DivisorClass(7, 1, 3, 3))
-    for n in (0, 2, 3, 4, 5, 6, 7):
-        assert vanishing_criterion(twist_divisor(n))
 
 
 def nakai_moishezon(div):
@@ -202,12 +167,6 @@ huge_classes = st.one_of(
 @example(div=DivisorClass(2 * 10**40 - 3, 10**40 - 1, 0, 10**40 - 1))
 def test_ampleness_predicates_match_nakai_moishezon_on_huge_classes(div):
     assert_predicates_match_nakai_moishezon(div)
-
-
-def test_h0_formula_values():
-    assert h0_formula(0) == 1
-    assert h0_formula(7) == 8
-    assert h0_formula(12) == 19
 
 
 def test_h0_formula_against_series_oracle():

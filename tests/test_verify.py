@@ -1,4 +1,5 @@
-"""The verification suite itself: aggregation, determinism, fault injection."""
+"""The verification suite itself: aggregation, determinism, and faults that
+the golden transcript does not inject."""
 
 import json
 from collections import Counter
@@ -14,7 +15,6 @@ import dp3ring.thcr as thcr
 import dp3ring.verify as verify
 from dp3ring.cli import main
 from dp3ring.cyclotomic import CycNum, ZETA
-from dp3ring.ncpoly import NcPoly, WZX
 from dp3ring.verify import (
     NOT_MACHINE_CHECKABLE,
     check_ample_criterion_box,
@@ -28,32 +28,6 @@ from dp3ring.verify import (
     matrix_rank,
     run_all,
 )
-
-EXPECTED_CHECK_NAMES = [
-    "defining_relations",
-    "graded_isomorphism",
-    "hilbert_series",
-    "dimension_match",
-    "cubic_veronese",
-    "anticanonical_cone",
-    "generation",
-    "generation_divisor_table",
-    "hexagon",
-    "rotation_order",
-    "rotation_isometry",
-    "rotation_eigensystem",
-    "twist_divisor_table",
-    "orbit_sum_identity",
-    "euler_char_step",
-    "twist_ampleness",
-    "ample_criterion_box",
-]
-
-
-def test_run_all_passes_at_low_cap():
-    report = run_all(6)
-    assert report.all_passed
-    assert [check.name for check in report.checks] == EXPECTED_CHECK_NAMES
 
 
 def test_run_all_rejects_tiny_caps():
@@ -179,26 +153,6 @@ def test_json_shape_and_sorted_keys(capsys):
     assert all("elapsed" in entry for entry in timed["checks"])
 
 
-def test_dictionary_mismatch_names_the_rendered_image(monkeypatch):
-    monkeypatch.setattr(thcr, "LOW_DEGREE_TABLE", (("xx", "Z*t"),))
-    result = check_defining_relations()
-    assert not result.passed
-    assert result.witness == "xx maps to X*u, not Z*t"
-
-
-def test_corrupted_rotation_is_caught(monkeypatch):
-    corrupted = ((2, -1, -1, -1), (1, -1, -1, 0), (1, 0, -1, -1), (1, -1, 0, 0))
-    monkeypatch.setattr(picard, "ROTATION", corrupted)
-    report = run_all(6)
-    assert not report.all_passed
-    by_name = {check.name: check for check in report.checks}
-    isometry = by_name["rotation_isometry"]
-    assert not isometry.passed
-    assert isometry.witness.startswith("(1,0,0,0).(0,0,0,1)")  # a concrete pair
-    assert not by_name["rotation_order"].passed
-    assert not by_name["rotation_eigensystem"].passed
-
-
 def test_individual_checks_pass():
     for check in (
         check_defining_relations(),
@@ -271,15 +225,6 @@ def test_veronese_kernel_dimension():
     assert "dimension 2" in check.detail
 
 
-def test_cubic_veronese_reports_unordered_words(monkeypatch):
-    # a normal form that leaves a word unordered fails the check, no raise
-    real = ore.xy_to_pbw
-    monkeypatch.setattr(ore, "xy_to_pbw", lambda p: real(p) + NcPoly(WZX, {"xw": 1}))
-    check = check_cubic_veronese()
-    assert not check.passed
-    assert "(x^3)*(x^3) has the unordered word 'xw'" in check.witness
-
-
 def test_hilbert_series_counts_the_basis():
     # the closed form still matches the series; only the basis count is off
     dims = [len(ore.pbw_basis(n)) + (n == 10) for n in range(13)]
@@ -289,8 +234,6 @@ def test_hilbert_series_counts_the_basis():
 
 
 def test_iso_degree_thirteen_counts():
-    from dp3ring import thcr
-
     count, images = thcr.word_image_exponents(13)
     assert count == 377
     assert len(images) == 21
