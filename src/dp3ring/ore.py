@@ -7,9 +7,9 @@ the ordered words w^i z^j x^k.  These are a linear basis, so the normal form
 is unique: by Bergman's diamond lemma (Adv. Math. 29, 1978) it suffices that
 the one ambiguity of the rules, xzw, resolves and that the rules lower a
 semigroup order, which `tests/test_ore.py` checks from `REWRITE_RULES`.
-`normal_form` rewrites a polynomial as one map from word to coefficient,
-round by round, so a word reached along many paths is rewritten once per
-round.
+`normal_form` takes a polynomial's words in decreasing termination
+measure, so a word reached along many paths is rewritten once, with its
+summed coefficient.
 The same ring is generated by x (weight 1) and y = w + x^2 (weight 2)
 subject to x^5 = yxy and y^2 = xyx; `xy_to_pbw` converts from that
 presentation.
@@ -23,7 +23,9 @@ z).  The measure is asserted on every application.
 
 from __future__ import annotations
 
-from .cyclotomic import CycNum, ONE, ZERO, ZETA
+from heapq import heapify, heappop, heappush
+
+from .cyclotomic import CycNum, ONE, ZETA
 from .ncpoly import NcPoly, WZX, XY, AlphabetMismatchError
 
 # -zeta^2 = 1 - zeta
@@ -61,34 +63,50 @@ def is_pbw_word(word: str) -> bool:
     return _find_redex(word) is None
 
 
+def _largest_first(measure: tuple[int, int, int], word: str) -> tuple:
+    """Heap entry (-#x, -#z, -inversions, word): a min-heap of these pops the
+    largest measure first."""
+    xs, zs, inversions = measure
+    return (-xs, -zs, -inversions, word)
+
+
 def normal_form(p: NcPoly) -> NcPoly:
     """Unique ordered-monomial representative of p's class.
 
-    The whole polynomial is one map from word to coefficient, rewritten in
-    rounds: an ordered word is added into the result, and every other word
-    has its leftmost reducible pair rewritten once, into the next round's
-    map, where equal words merge and those that cancel drop out.  Any other
-    rewriting order gives the same result, because the rules resolve their
-    one ambiguity (the diamond-lemma test).
+    Words wait in one map from word to coefficient and leave it in
+    decreasing termination measure, taken from a heap.  Every rewrite
+    lowers the measure, so all words that can reach a word leave before it
+    and its coefficient is final: a word that cancelled is dropped, an
+    ordered word goes into the result, and any other has its leftmost
+    reducible pair rewritten once, back into the map.  The measure that the
+    assertion computes for a new word is also its heap key.  Any other rewriting order gives the same result, because the rules
+    resolve their one ambiguity (the diamond-lemma test).
     """
     if p.alphabet != WZX:
         raise AlphabetMismatchError("normal_form expects the w,z,x alphabet")
     out: dict[str, CycNum] = {}
-    level = p.terms
-    while level:
-        rewritten: dict[str, CycNum] = {}
-        for word, coeff in level.items():
-            i = _find_redex(word)
-            if i is None:
-                out[word] = out.get(word, ZERO) + coeff
-                continue
-            measure = termination_measure(word)
-            for rule_coeff, replacement in REWRITE_RULES[word[i : i + 2]]:
-                new_word = word[:i] + replacement + word[i + 2 :]
-                assert termination_measure(new_word) < measure
-                rewritten[new_word] = rewritten.get(new_word, ZERO) + coeff * rule_coeff
-        # a word whose merged coefficient cancelled has nothing to rewrite
-        level = {word: coeff for word, coeff in rewritten.items() if coeff}
+    pending = dict(p.terms)
+    heap = [_largest_first(termination_measure(word), word) for word in pending]
+    heapify(heap)
+    while heap:
+        xs, zs, inversions, word = heappop(heap)
+        coeff = pending.pop(word)
+        if not coeff:
+            continue
+        i = _find_redex(word)
+        if i is None:
+            out[word] = coeff
+            continue
+        measure = (-xs, -zs, -inversions)
+        for rule_coeff, replacement in REWRITE_RULES[word[i : i + 2]]:
+            new_word = word[:i] + replacement + word[i + 2 :]
+            new_measure = termination_measure(new_word)
+            assert new_measure < measure
+            if new_word in pending:
+                pending[new_word] += coeff * rule_coeff
+            else:
+                pending[new_word] = coeff * rule_coeff
+                heappush(heap, _largest_first(new_measure, new_word))
     return NcPoly(WZX, out)
 
 

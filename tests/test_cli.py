@@ -126,9 +126,13 @@ def test_nf_huge_scalar_powers_finish():
 
 
 def test_nf_of_a_heavy_word_finishes():
-    # rewriting every path of a word separately took about 40 minutes on it
-    expected = "-w^2*x^12 - zeta*w*x^14 + z*x^13 + x^16\n"
-    assert run_cli_process("nf", "--", "x^14*y") == (0, expected, "")
+    # rewriting every path of a word separately took about 40 minutes on
+    # x^14*y, and rewriting in rounds about 30 s on y^12
+    for expression, expected in (
+        ("x^14*y", "-w^2*x^12 - zeta*w*x^14 + z*x^13 + x^16\n"),
+        ("y^12", "x^24\n"),
+    ):
+        assert run_cli_process("nf", "--", expression) == (0, expected, ""), expression
 
 
 def test_oversized_result_integer_exits_2(capsys):

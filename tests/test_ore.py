@@ -55,14 +55,30 @@ def test_normal_form_rejects_other_alphabets():
         normal_form(xy("x"))
 
 
-def test_cancelled_words_are_not_rewritten(monkeypatch):
-    # the round that rewrites x^5 - yxy also cancels a word; rewriting it
-    # anyway took one redex search more
+def record_redex_searches(monkeypatch):
+    """The list that every later `_find_redex` call appends its word to."""
     searched = []
     real = ore._find_redex
     monkeypatch.setattr(ore, "_find_redex", lambda word: searched.append(word) or real(word))
+    return searched
+
+
+def test_cancelled_words_are_not_rewritten(monkeypatch):
+    # rewriting x^5 - yxy reaches 12 words; each of the 8 that keep a
+    # coefficient is searched once, and the 4 that cancel are not searched
+    searched = record_redex_searches(monkeypatch)
     assert xy_to_pbw(xy("x^5 - y*x*y")).is_zero
-    assert len(searched) == 16
+    assert len(searched) == 8
+
+
+def test_normal_form_rewrites_each_word_once(monkeypatch):
+    # (x+y)^6 reaches many words along many paths; taking words in
+    # decreasing measure searches each one once, after all its sources
+    searched = record_redex_searches(monkeypatch)
+    xy_to_pbw(xy("(x+y)^6"))
+    assert len(searched) == len(set(searched))
+    measures = [termination_measure(word) for word in searched]
+    assert measures == sorted(measures, reverse=True)
 
 
 def test_zero_converts_to_zero_over_wzx():
@@ -120,7 +136,7 @@ def test_normal_form_asserts_the_measure_drops(monkeypatch):
         normal_form(wzx("x*w"))
 
 
-def test_normal_form_measures_each_rewritten_word_and_replacement(monkeypatch):
+def test_normal_form_measures_each_word_once(monkeypatch):
     measured = []
 
     def recording_measure(word):
@@ -129,9 +145,10 @@ def test_normal_form_measures_each_rewritten_word_and_replacement(monkeypatch):
 
     monkeypatch.setattr(ore, "termination_measure", recording_measure)
     normal_form(wzx("x*z*w"))
-    # xzw -> zxw, www; zxw -> zwx, zz; zwx -> wzx: three rewritten words,
-    # each measured once and then once per replacement
-    assert measured == ["xzw", "zxw", "www", "zxw", "zwx", "zz", "zwx", "wzx"]
+    # xzw -> zxw, www; zxw -> zwx, zz; zwx -> wzx: the input word when it
+    # enters the heap, every replacement when the assertion checks it, and
+    # that measure is its heap key, so no word is measured twice
+    assert measured == ["xzw", "zxw", "www", "zwx", "zz", "wzx"]
 
 
 def test_termination_measure_drops_across_rules():
