@@ -63,13 +63,6 @@ def is_pbw_word(word: str) -> bool:
     return _find_redex(word) is None
 
 
-def _largest_first(measure: tuple[int, int, int], word: str) -> tuple:
-    """Heap entry (-#x, -#z, -inversions, word): a min-heap of these pops the
-    largest measure first."""
-    xs, zs, inversions = measure
-    return (-xs, -zs, -inversions, word)
-
-
 def normal_form(p: NcPoly) -> NcPoly:
     """Unique ordered-monomial representative of p's class.
 
@@ -79,17 +72,20 @@ def normal_form(p: NcPoly) -> NcPoly:
     and its coefficient is final: a word that cancelled is dropped, an
     ordered word goes into the result, and any other has its leftmost
     reducible pair rewritten once, back into the map.  The measure that the
-    assertion computes for a new word is also its heap key.  Any other rewriting order gives the same result, because the rules
-    resolve their one ambiguity (the diamond-lemma test).
+    assertion computes for a new word, negated, is also its heap key.  Any
+    other rewriting order gives the same result, because the rules resolve
+    their one ambiguity (the diamond-lemma test).
     """
     if p.alphabet != WZX:
         raise AlphabetMismatchError("normal_form expects the w,z,x alphabet")
     out: dict[str, CycNum] = {}
     pending = dict(p.terms)
-    heap = [_largest_first(termination_measure(word), word) for word in pending]
+    # a min-heap of negated measures pops the largest measure first
+    heap = [(tuple(-m for m in termination_measure(word)), word)
+            for word in pending]
     heapify(heap)
     while heap:
-        xs, zs, inversions, word = heappop(heap)
+        key, word = heappop(heap)
         coeff = pending.pop(word)
         if not coeff:
             continue
@@ -97,7 +93,7 @@ def normal_form(p: NcPoly) -> NcPoly:
         if i is None:
             out[word] = coeff
             continue
-        measure = (-xs, -zs, -inversions)
+        measure = tuple(-m for m in key)
         for rule_coeff, replacement in REWRITE_RULES[word[i : i + 2]]:
             new_word = word[:i] + replacement + word[i + 2 :]
             new_measure = termination_measure(new_word)
@@ -106,7 +102,7 @@ def normal_form(p: NcPoly) -> NcPoly:
                 pending[new_word] += coeff * rule_coeff
             else:
                 pending[new_word] = coeff * rule_coeff
-                heappush(heap, _largest_first(new_measure, new_word))
+                heappush(heap, (tuple(-m for m in new_measure), new_word))
     return NcPoly(WZX, out)
 
 
