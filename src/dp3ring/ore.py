@@ -1,29 +1,25 @@
-"""Rewriting engine for the ring presented on w, z, x by
+"""The ring presented on w, z, x by
 
     zw = zeta*wz,    xw = -zeta^2*wx + z,    xz = zeta*zx - w^2,
 
-with weights w = 2, z = 3, x = 1.  Repeated rewriting moves every word onto
-the ordered words w^i z^j x^k.  These are a linear basis, so the normal form
-is unique: by Bergman's diamond lemma (Adv. Math. 29, 1978) it suffices that
-the one ambiguity of the rules, xzw, resolves and that the rules lower a
-semigroup order, which `tests/test_ore.py` checks from `REWRITE_RULES`.
-`normal_form` takes a polynomial's words in decreasing termination
-measure, so a word reached along many paths is rewritten once, with its
-summed coefficient.
-The same ring is generated by x (weight 1) and y = w + x^2 (weight 2)
-subject to x^5 = yxy and y^2 = xyx; `xy_to_pbw` converts from that
-presentation.
+with weights w = 2, z = 3, x = 1.  Its ordered words w^i z^j x^k are a
+linear basis: by Bergman's diamond lemma (Adv. Math. 29, 1978) it suffices
+that the one ambiguity of the rules, xzw, resolves and that each rule lowers
+the measure (#x, #z, inversions), inversions being the pairs x-before-w,
+x-before-z and z-before-w; `tests/test_ore.py` checks both from
+`REWRITE_RULES`.  The same ring is generated by x (weight 1) and
+y = w + x^2 (weight 2) subject to x^5 = yxy and y^2 = xyx.
 
-Termination: each rule application strictly decreases the measure
-(#x, #z, inversions) in lexicographic order, where inversions counts the
-pairs x-before-w, x-before-z and z-before-w.  The swap part of a rule
-removes one inversion; the correction part drops an x (and for xz also a
-z).  The measure is asserted on every application.
+A normal form is a product taken from the left in that basis, an element
+mapping (i, j, k) to the coefficient of w^i z^j x^k.  Times x raises k.
+Times g = w or z is w^i z^j T(k, g), T(k, g) the ordered form of x^k g, put
+in order by z^j w^a = q^(ja) w^a z^j, q the coefficient of the rule zw.
+T(k, g) is x^(k-1) times the rule for xg, which reads only rows below k, so
+the table fills upwards within each call.  Each word's product starts from
+coefficient 1, so it stays in Z[zeta], and takes the word's coefficient last.
 """
 
 from __future__ import annotations
-
-from heapq import heapify, heappop, heappush
 
 from .cyclotomic import CycNum, ONE, ZETA
 from .ncpoly import NcPoly, WZX, XY, AlphabetMismatchError
@@ -50,71 +46,75 @@ def termination_measure(word: str) -> tuple[int, int, int]:
     return (len(word) - w - z, z, inversions)
 
 
-def _find_redex(word: str) -> int | None:
-    """Position of the leftmost reducible pair, or None for an ordered word."""
-    for i in range(len(word) - 1):
-        if word[i : i + 2] in REWRITE_RULES:
-            return i
-    return None
-
-
 def is_pbw_word(word: str) -> bool:
     """True iff the word is a sorted block w...w z...z x...x."""
-    return _find_redex(word) is None
+    return word == "".join(sorted(word, key=WZX.letters.index))
+
+
+def _sum(terms) -> dict:
+    """The sum of scale * element over (scale, element) pairs, zeros dropped."""
+    out: dict = {}
+    for scale, element in terms:
+        for key, c in element.items():
+            c = c if scale is ONE else scale * c
+            out[key] = out[key] + c if key in out else c
+    return {key: c for key, c in out.items() if c}
+
+
+def _ordered_product(p: NcPoly, images: dict[str, tuple[str, ...]]) -> NcPoly:
+    """p, each letter replaced by its image, a sum of w,z,x words, in the basis."""
+    ((q, _),) = REWRITE_RULES["zw"]
+    powers = [ONE]  # powers[n] = q^n
+    table = [{"w": {(1, 0, 0): ONE}, "z": {(0, 1, 0): ONE}}]  # table[k][g] = T(k, g)
+
+    def row(k: int) -> dict:
+        while len(table) <= k:
+            below = {(0, 0, len(table) - 1): ONE}  # T(k, g) = x^(k-1) * (xg)
+            table.append({
+                g: _sum((coeff, times(below, word)) for coeff, word in REWRITE_RULES["x" + g])
+                for g in "wz"
+            })
+        return table[k]
+
+    def times(element: dict, word: str) -> dict:
+        for letter in word:
+            if letter == "x":
+                element = {(i, j, k + 1): c for (i, j, k), c in element.items()}
+                continue
+            out: dict = {}
+            for (i, j, k), c in element.items():
+                for (a, b, e), t in row(k)[letter].items():
+                    if j * a:  # z^j w^a = q^(ja) w^a z^j
+                        while len(powers) <= j * a:
+                            powers.append(powers[-1] * q)
+                        t = t * powers[j * a]
+                    key = (i + a, j + b, e)
+                    out[key] = out[key] + c * t if key in out else c * t
+            element = out
+        return element
+
+    def product(word: str) -> dict:
+        element = {(0, 0, 0): ONE}
+        for letter in word:
+            element = _sum((ONE, times(element, image)) for image in images[letter])
+        return element
+
+    out = _sum((coeff, product(word)) for word, coeff in p.terms.items())
+    return NcPoly(WZX, {"w" * i + "z" * j + "x" * k: c for (i, j, k), c in out.items()})
 
 
 def normal_form(p: NcPoly) -> NcPoly:
-    """Unique ordered-monomial representative of p's class.
-
-    Words wait in one map from word to coefficient and leave it in
-    decreasing termination measure, taken from a heap.  Every rewrite
-    lowers the measure, so all words that can reach a word leave before it
-    and its coefficient is final: a word that cancelled is dropped, an
-    ordered word goes into the result, and any other has its leftmost
-    reducible pair rewritten once, back into the map.  The measure that the
-    assertion computes for a new word, negated, is also its heap key.  Any
-    other rewriting order gives the same result, because the rules resolve
-    their one ambiguity (the diamond-lemma test).
-    """
+    """Unique ordered-monomial representative of p's class."""
     if p.alphabet != WZX:
         raise AlphabetMismatchError("normal_form expects the w,z,x alphabet")
-    out: dict[str, CycNum] = {}
-    pending = dict(p.terms)
-    # a min-heap of negated measures pops the largest measure first
-    heap = [(tuple(-m for m in termination_measure(word)), word)
-            for word in pending]
-    heapify(heap)
-    while heap:
-        key, word = heappop(heap)
-        coeff = pending.pop(word)
-        if not coeff:
-            continue
-        i = _find_redex(word)
-        if i is None:
-            out[word] = coeff
-            continue
-        measure = tuple(-m for m in key)
-        for rule_coeff, replacement in REWRITE_RULES[word[i : i + 2]]:
-            new_word = word[:i] + replacement + word[i + 2 :]
-            new_measure = termination_measure(new_word)
-            assert new_measure < measure
-            if new_word in pending:
-                pending[new_word] += coeff * rule_coeff
-            else:
-                pending[new_word] = coeff * rule_coeff
-                heappush(heap, (tuple(-m for m in new_measure), new_word))
-    return NcPoly(WZX, out)
-
-
-_Y_IMAGE = NcPoly(WZX, {"w": 1, "xx": 1})
-_XY_IMAGES = {"x": NcPoly.variable(WZX, "x"), "y": _Y_IMAGE}
+    return _ordered_product(p, {g: (g,) for g in WZX.letters})
 
 
 def xy_to_pbw(p: NcPoly) -> NcPoly:
     """Express an x,y-polynomial in the ordered w,z,x basis (y = w + x^2)."""
     if p.alphabet != XY:
         raise AlphabetMismatchError("xy_to_pbw expects the x,y alphabet")
-    return normal_form(p.substitute(_XY_IMAGES))
+    return _ordered_product(p, {"x": ("x",), "y": ("w", "xx")})
 
 
 def pbw_basis(n: int) -> list[str]:

@@ -127,10 +127,15 @@ def test_nf_huge_scalar_powers_finish():
 
 def test_nf_of_a_heavy_word_finishes():
     # rewriting every path of a word separately took about 40 minutes on
-    # x^14*y, and rewriting in rounds about 30 s on y^12
+    # x^14*y, rewriting in rounds about 30 s on y^12, and rewriting each
+    # reachable word once never finished y^500 or x^998*y, words that pass
+    # every parser bound; multiplied out in the ordered basis, each takes
+    # well under a second
     for expression, expected in (
         ("x^14*y", "-w^2*x^12 - zeta*w*x^14 + z*x^13 + x^16\n"),
         ("y^12", "x^24\n"),
+        ("y^500", "(1 - zeta)*w*x^998 + z*x^997 + x^1000\n"),
+        ("x^998*y", "-w^2*x^996 - zeta*w*x^998 + z*x^997 + x^1000\n"),
     ):
         assert run_cli_process("nf", "--", expression) == (0, expected, ""), expression
 

@@ -309,12 +309,14 @@ def test_multiplication_distributes(p, q, r):
 
 
 # a y-heavy input that once ran past hypothesis's deadline: y = w + x^2
-# expands term by term, so y^5 * y^5 makes 2^10 words per coefficient
+# expands term by term, so y^5 * y^5 makes 2^10 words per coefficient.  The
+# heaviest draw, p and q each four 5-letter y-heavy words, takes 0.2-0.5 s,
+# so the test has no deadline
 @example(
     p=NcPoly(XY, {"yyyyy": CycNum(0, -2), "xyxx": Fraction(1, 2), "yyy": ZETA}),
     q=NcPoly(XY, {"yyyyy": 1}),
 )
-@settings(max_examples=60)
+@settings(max_examples=60, deadline=None)
 @given(p=polys(XY), q=polys(XY))
 def test_substitution_is_a_homomorphism(p, q):
     images = {"x": NcPoly.variable(WZX, "x"), "y": NcPoly(WZX, {"w": 1, "xx": 1})}

@@ -55,32 +55,6 @@ def test_normal_form_rejects_other_alphabets():
         normal_form(xy("x"))
 
 
-def record_redex_searches(monkeypatch):
-    """The list that every later `_find_redex` call appends its word to."""
-    searched = []
-    real = ore._find_redex
-    monkeypatch.setattr(ore, "_find_redex", lambda word: searched.append(word) or real(word))
-    return searched
-
-
-def test_cancelled_words_are_not_rewritten(monkeypatch):
-    # rewriting x^5 - yxy reaches 12 words; each of the 8 that keep a
-    # coefficient is searched once, and the 4 that cancel are not searched
-    searched = record_redex_searches(monkeypatch)
-    assert xy_to_pbw(xy("x^5 - y*x*y")).is_zero
-    assert len(searched) == 8
-
-
-def test_normal_form_rewrites_each_word_once(monkeypatch):
-    # (x+y)^6 reaches many words along many paths; taking words in
-    # decreasing measure searches each one once, after all its sources
-    searched = record_redex_searches(monkeypatch)
-    xy_to_pbw(xy("(x+y)^6"))
-    assert len(searched) == len(set(searched))
-    measures = [termination_measure(word) for word in searched]
-    assert measures == sorted(measures, reverse=True)
-
-
 def test_zero_converts_to_zero_over_wzx():
     assert xy_to_pbw(xy("0")) == NcPoly(WZX)
 
@@ -130,25 +104,24 @@ def test_termination_measure_counts_pairs(word):
     assert termination_measure(word) == pair_count_measure(word)
 
 
-def test_normal_form_asserts_the_measure_drops(monkeypatch):
-    monkeypatch.setattr(ore, "termination_measure", lambda word: (0, 0, 0))
-    with pytest.raises(AssertionError):
-        normal_form(wzx("x*w"))
+def rewrite_leftmost(word):
+    """The oracle: rewrite the leftmost reducible pair until only ordered
+    words are left, each rewrite checked to lower the termination measure."""
+    for i in range(len(word) - 1):
+        if word[i : i + 2] in ore.REWRITE_RULES:
+            out = NcPoly(WZX)
+            for reduced, coeff in reduce_once(word, i, word[i : i + 2]).terms.items():
+                assert termination_measure(reduced) < termination_measure(word)
+                out = out + coeff * rewrite_leftmost(reduced)
+            return out
+    return NcPoly(WZX, {word: 1})
 
 
-def test_normal_form_measures_each_word_once(monkeypatch):
-    measured = []
-
-    def recording_measure(word):
-        measured.append(word)
-        return termination_measure(word)
-
-    monkeypatch.setattr(ore, "termination_measure", recording_measure)
-    normal_form(wzx("x*z*w"))
-    # xzw -> zxw, www; zxw -> zwx, zz; zwx -> wzx: the input word when it
-    # enters the heap, every replacement when the assertion checks it, and
-    # that measure is its heap key, so no word is measured twice
-    assert measured == ["xzw", "zxw", "www", "zwx", "zz", "wzx"]
+def test_normal_form_agrees_with_leftmost_rewriting():
+    for length in range(7):
+        for letters in itertools.product("wzx", repeat=length):
+            word = "".join(letters)
+            assert normal_form(NcPoly(WZX, {word: 1})) == rewrite_leftmost(word), word
 
 
 def test_termination_measure_drops_across_rules():
@@ -300,9 +273,9 @@ wzx_polys = st.dictionaries(words, coeffs, max_size=3).map(
 @given(p=wzx_polys)
 @example(p=wzx("x*w + 2*z*w"))
 def test_normal_form_linearity(p):
-    # the words of p are rewritten together and words reached from
-    # different terms merge; the result is still the sum of the terms'
-    # normal forms
+    # the terms of p are multiplied out into one sum, with each word's
+    # coefficient applied at the end; the result is still the sum of the
+    # terms' normal forms
     total = NcPoly(WZX)
     for word, coeff in p.terms.items():
         total = total + coeff * normal_form(NcPoly(WZX, {word: 1}))
