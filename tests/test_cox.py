@@ -8,10 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dp3ring.cox import (
-    IRRELEVANT_PAIRS,
     UNIT,
-    VARIABLES,
-    WEIGHT_TABLE,
     enumerate_sections,
     monomial_product,
     multidegree,
@@ -26,7 +23,6 @@ from dp3ring.cox import (
 from dp3ring.ncpoly import XY, parse
 from dp3ring.picard import (
     DivisorClass,
-    intersect,
     rotate_class,
     rotate_class_power,
     twist_divisor,
@@ -166,33 +162,6 @@ def test_poly_rendering():
     assert GradedSection(2, {}).render() == "0"
     neg = GradedSection(2, {parse_monomial("Z*t"): Fraction(-3, 2)})
     assert neg.render() == "-3/2*Z*t"
-
-
-def test_hexagon_intersection_matrix():
-    cycle = ("X", "u", "Y", "t", "Z", "s")
-    weights = [WEIGHT_TABLE[VARIABLES.index(v)] for v in cycle]
-    for i in range(6):
-        for j in range(6):
-            expected = -1 if i == j else (1 if (i - j) % 6 in (1, 5) else 0)
-            assert intersect(weights[i], weights[j]) == expected
-
-
-def test_irrelevant_pairs_are_permuted_by_rotation():
-    pair_set = set(IRRELEVANT_PAIRS)
-    images = set()
-    for pair in IRRELEVANT_PAIRS:
-        image = frozenset(rotate_variable(v) for v in pair)
-        assert image in pair_set
-        images.add(image)
-    assert images == pair_set  # a genuine permutation of the nine pairs
-
-
-def test_section_counts_match_euler_characteristic():
-    from dp3ring.picard import chi, h0_formula
-
-    for n in range(13):
-        div = twist_divisor(n)
-        assert section_count(div) == h0_formula(n) == chi(div)
 
 
 @settings(max_examples=60)

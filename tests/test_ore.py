@@ -19,7 +19,6 @@ from dp3ring.ncpoly import (
 )
 from dp3ring.ore import (
     commutes_with_generators,
-    hilbert_coeffs,
     is_pbw_word,
     normal_form,
     pbw_basis,
@@ -57,10 +56,6 @@ def test_normal_form_rejects_other_alphabets():
 
 def test_zero_converts_to_zero_over_wzx():
     assert xy_to_pbw(xy("0")) == NcPoly(WZX)
-
-
-def test_x6_equals_y3():
-    assert xy_to_pbw(xy("x^6 - y^3")).is_zero
 
 
 def test_relations_via_explicit_generator_images():
@@ -232,21 +227,6 @@ def test_pbw_render():
         "w^2*x^3",
         "x^6",
     ]
-
-
-def test_hilbert_counts_the_pbw_basis():
-    # oracle: the enumerated basis itself
-    assert hilbert_coeffs(60) == [len(pbw_basis(n)) for n in range(61)]
-
-
-def test_hilbert_recurrence():
-    coeffs = hilbert_coeffs(30)
-    for n in range(25):
-        assert coeffs[n + 6] == coeffs[n] + n + 6
-
-
-def test_x6_is_central():
-    assert commutes_with_generators(xy("x^6"))
 
 
 def test_scalars_are_central():

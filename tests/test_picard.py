@@ -21,9 +21,7 @@ from dp3ring.picard import (
     L1,
     L2,
     L3,
-    MINUS_K,
     chi,
-    h0_formula,
     intersect,
     is_ample,
     rotate_class,
@@ -51,32 +49,6 @@ def test_intersection_form_basics():
     assert intersect(E1, E2) == 0
 
 
-def test_canonical_self_intersection():
-    assert intersect(K, K) == 6
-    assert MINUS_K == -K == DivisorClass(3, 1, 1, 1)
-
-
-def test_first_twist_is_a_minus_one_curve():
-    d1 = twist_divisor(1)
-    assert d1 == L1
-    assert intersect(d1, d1) == -1
-
-
-def test_rotation_on_first_twist():
-    # oracle: the matrix-vector product by hand
-    assert rotate_class(DivisorClass(1, 1, 0, 1)) == DivisorClass(0, 0, 0, -1)
-
-
-def test_rotation_fixes_anticanonical():
-    assert rotate_class(MINUS_K) == MINUS_K
-    assert rotate_class(K) == K
-
-
-def test_rotation_order_six():
-    for div in (H, E1, E2, E3, L1, L2, L3, DivisorClass(2, -3, 5, 7)):
-        assert rotate_class_power(div, 6) == div
-
-
 def test_rotation_permutes_the_hexagon():
     # X=0, u=0, Y=0, t=0, Z=0, s=0 in cyclic order
     hexagon = (L1, E3, L2, E1, L3, E2)
@@ -95,12 +67,6 @@ def test_twist_divisor_orbit_sum():
         assert twist_divisor(n) == div == total
 
 
-def test_twist_divisor_period_identity():
-    for m in range(4):
-        for r in range(6):
-            assert twist_divisor(6 * m + r) == twist_divisor(r) - m * K
-
-
 def test_twist_divisor_rejects_negative():
     with pytest.raises(ValueError):
         twist_divisor(-1)
@@ -111,11 +77,6 @@ def test_small_twist_intersections():
         d = twist_divisor(r)
         assert intersect(d, d) == r - 2
         assert intersect(d, K) == -r
-
-
-def test_chi_step_identity():
-    for n in range(18):
-        assert chi(twist_divisor(n + 6)) - chi(twist_divisor(n)) == n + 6
 
 
 def test_chi_parity_guard(monkeypatch):
@@ -169,22 +130,6 @@ def test_ampleness_predicates_match_nakai_moishezon_on_huge_classes(div):
     assert_predicates_match_nakai_moishezon(div)
 
 
-def test_h0_formula_against_series_oracle():
-    # oracle: coefficient of t^n in 1/((1-t)(1-t^2)(1-t^3))
-    cap = 24
-    series = [1] + [0] * cap
-    for step in (1, 2, 3):
-        for n in range(step, cap + 1):
-            series[n] += series[n - step]
-    for n in range(cap + 1):
-        assert h0_formula(n) == series[n]
-
-
-def test_h0_formula_matches_chi():
-    for n in range(25):
-        assert h0_formula(n) == chi(twist_divisor(n))
-
-
 def test_eigensystem_is_exact():
     pairs = rotation_eigensystem()
     assert len(pairs) == 4
@@ -192,10 +137,6 @@ def test_eigensystem_is_exact():
     values = [val for _, val in pairs]
     assert vectors[1] == (CycNum(3), CycNum(1), CycNum(1), CycNum(1))
     assert values == [CycNum(-1), CycNum(1), OMEGA * OMEGA, OMEGA]
-
-
-def test_eigensystem_first_vector_by_hand():
-    assert rotate_class(DivisorClass(1, 1, 1, 1)) == DivisorClass(-1, -1, -1, -1)
 
 
 def test_eigensystem_uses_cube_root_identities():
@@ -208,11 +149,6 @@ def test_eigensystem_rejects_wrong_matrix(monkeypatch):
     monkeypatch.setattr(picard, "ROTATION", identity)
     with pytest.raises(ArithmeticError):
         rotation_eigensystem()
-
-
-def test_divisor_rendering():
-    assert str(DivisorClass(3, 1, 1, 1)) == "(3,1,1,1)"
-    assert str(twist_divisor(0)) == "(0,0,0,0)"
 
 
 @given(left=classes, right=classes)

@@ -19,7 +19,6 @@ from dp3ring.ncpoly import NcPoly, XY, parse
 from dp3ring.picard import rotate_class_power, twist_divisor
 from dp3ring.thcr import (
     GradedSection,
-    LOW_DEGREE_TABLE,
     check_generation,
     covers,
     degree_two_covers,
@@ -66,12 +65,6 @@ def test_word_image_equates_the_relations():
 def test_word_image_rejects_other_letters():
     with pytest.raises(ValueError):
         word_image("xz")
-
-
-def test_low_degree_dictionary_reproduces():
-    assert len(LOW_DEGREE_TABLE) == 22
-    for word, expected in LOW_DEGREE_TABLE:
-        assert word_image(word) == parse_monomial(expected), word
 
 
 def words_of_degree(n: int) -> list[str]:
