@@ -3,19 +3,21 @@
 Exit codes: 0 on success, 1 when verification finds a failing check, 2 on
 usage or expression parse errors and when memory runs out.  Output is
 deterministic; json output has sorted keys and canonical monomial order.
+
+Each subcommand imports the layers it runs where it runs them, so a process
+that rewrites in R never loads the section ring or the verification suite:
+start-up is a large share of a command-line call.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import signal
 import sys
 
-from . import cox, ore, thcr, verify
+from . import ore
 from .ncpoly import ALPHABETS, MAX_WORD_LENGTH, bound_product, parse, render_word
-from .picard import DivisorClass, K, chi, h0_formula, is_ample, twist_divisor
 
 
 def _int(text: str) -> int:
@@ -65,6 +67,9 @@ def _cmd_nf(args) -> _Answer:
 
 
 def _cmd_divisor(args) -> _Answer:
+    from . import cox
+    from .picard import K, chi, h0_formula, is_ample, twist_divisor
+
     div = twist_divisor(args.n)
     euler = chi(div)
     closed = h0_formula(args.n)
@@ -84,6 +89,9 @@ def _cmd_divisor(args) -> _Answer:
 
 
 def _cmd_h0(args) -> _Answer:
+    from . import cox
+    from .picard import DivisorClass
+
     count = cox.section_count(DivisorClass(args.a, args.b, args.c, args.d))
     return {"a": args.a, "b": args.b, "c": args.c, "d": args.d}, count, str(count), 0
 
@@ -92,6 +100,8 @@ def _cmd_basis(args) -> _Answer:
     if args.ring == "R":
         rendered = [render_word(word) for word in ore.pbw_basis(args.n)]
     else:
+        from . import cox, thcr
+
         rendered = [cox.render_monomial(m) for m in thcr.twist_basis(args.n).basis]
     return {"ring": args.ring, "n": args.n}, rendered, ", ".join(rendered), 0
 
@@ -108,6 +118,8 @@ def _cmd_mul(args) -> _Answer:
     elif args.alphabet != "xy":
         raise ValueError("--alphabet wzx applies to --ring R only")
     else:
+        from . import thcr
+
         left = thcr.section_from_xy(parse(args.lhs, ALPHABETS["xy"]))
         right = thcr.section_from_xy(parse(args.rhs, ALPHABETS["xy"]))
         rendered = thcr.twisted_mul(left, right).render()
@@ -120,6 +132,8 @@ def _cmd_hilbert(args) -> _Answer:
 
 
 def _cmd_verify(args) -> _Answer:
+    from . import verify
+
     report = verify.run_all(args.max_degree)
     return (
         {"max_degree": args.max_degree},
@@ -202,6 +216,8 @@ def main(argv=None) -> int:
     try:
         inputs, result, text, code = args.func(args)
         if args.format == "json":
+            import json
+
             payload = {"command": args.command, "inputs": inputs, "result": result}
             text = json.dumps(payload, sort_keys=True, indent=2)
         print(text)

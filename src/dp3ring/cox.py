@@ -20,7 +20,6 @@ tuples compare lexicographically, which is the canonical display order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add, itemgetter
 
 from .cyclotomic import render_powers
@@ -130,13 +129,15 @@ def parse_monomial(text: str) -> tuple[int, ...]:
     return mono
 
 
-@dataclass(frozen=True)
 class SectionSpace:
     """The monomial basis of one graded piece, in canonical display order
     (lex on exponent vectors, largest first) as `enumerate_sections`
     builds it."""
 
-    basis: tuple[tuple[int, ...], ...]
+    __slots__ = ("basis",)
+
+    def __init__(self, basis: tuple[tuple[int, ...], ...]):
+        self.basis = basis
 
     @property
     def dimension(self) -> int:

@@ -10,7 +10,6 @@ anything.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 
@@ -29,13 +28,17 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-@dataclass(frozen=True)
 class Alphabet:
-    """Ordered letters with integer weights; the order fixes term sorting."""
+    """Ordered letters with integer weights; the order fixes term sorting.
+    There is one object per alphabet, XY and WZX below, so alphabets compare
+    by identity."""
 
-    name: str
-    letters: tuple[str, ...]
-    weights: tuple[int, ...]
+    __slots__ = ("name", "letters", "weights")
+
+    def __init__(self, name: str, letters: tuple[str, ...], weights: tuple[int, ...]):
+        self.name = name
+        self.letters = letters
+        self.weights = weights
 
     def weight(self, letter: str) -> int:
         return self.weights[self.letters.index(letter)]

@@ -10,7 +10,6 @@ reproduces the whole low-degree dictionary below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cox import (
@@ -61,7 +60,6 @@ LOW_DEGREE_TABLE = (
 )
 
 
-@dataclass(frozen=True)
 class GradedSection:
     """A degree-n element: nonzero rational coefficients on section
     monomials of multidegree twist_divisor(n).
@@ -72,8 +70,16 @@ class GradedSection:
     D(m+n) = D(m) + rot^m D(n); each drops the zero coefficients it makes.
     """
 
-    n: int
-    terms: dict[tuple[int, ...], int | Fraction]
+    __slots__ = ("n", "terms")
+
+    def __init__(self, n: int, terms: dict[tuple[int, ...], int | Fraction]):
+        self.n = n
+        self.terms = terms
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.terms == other.terms
 
     def render(self) -> str:
         # canonical display order: lex on exponent vectors, largest first

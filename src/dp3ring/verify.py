@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass
 from itertools import compress, count, islice, product
 from operator import ne
 
@@ -47,24 +46,28 @@ NOT_MACHINE_CHECKABLE = (
 )
 
 
-@dataclass
 class CheckResult:
     """A check passes iff it carries no witness of failure."""
 
-    name: str
-    detail: str
-    witness: str | None = None
-    elapsed: float = 0.0
+    __slots__ = ("name", "detail", "witness", "elapsed")
+
+    def __init__(self, name: str, detail: str, witness: str | None = None, elapsed: float = 0.0):
+        self.name = name
+        self.detail = detail
+        self.witness = witness
+        self.elapsed = elapsed
 
     @property
     def passed(self) -> bool:
         return self.witness is None
 
 
-@dataclass
 class VerificationReport:
-    max_degree: int
-    checks: list[CheckResult]
+    __slots__ = ("max_degree", "checks")
+
+    def __init__(self, max_degree: int, checks: list[CheckResult]):
+        self.max_degree = max_degree
+        self.checks = checks
 
     @property
     def all_passed(self) -> bool:

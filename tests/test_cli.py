@@ -498,6 +498,34 @@ def test_closed_stdout_gives_no_traceback():
     assert proc.returncode != 1
 
 
+def test_cold_start_imports_only_the_rewriting_layers():
+    # every command-line call pays for what `dp3ring.cli` imports; the B-side
+    # commands and `verify` import their layers when they run
+    script = (
+        "import sys; base = set(sys.modules); import dp3ring.cli; "
+        "print(*sorted(set(sys.modules) - base)); import dp3ring.verify; "
+        "print(*sorted(set(sys.modules) - base))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=60,
+        check=True,
+    )
+    cli_adds, verify_adds = (set(line.split()) for line in proc.stdout.splitlines())
+    assert {name for name in cli_adds if name.startswith("dp3ring")} == {
+        "dp3ring",
+        "dp3ring.cli",
+        "dp3ring.cyclotomic",
+        "dp3ring.ncpoly",
+        "dp3ring.ore",
+    }
+    assert not cli_adds & {"dataclasses", "inspect", "json"}
+    assert "dp3ring.verify" in verify_adds and "dataclasses" not in verify_adds
+
+
 def test_readme_examples_match_cli_output(capsys):
     examples = re.findall(r"^dp3ring (.*?)#\s*-> (.*)$", (ROOT / "README.md").read_text(), re.M)
     assert len(examples) == 8
